@@ -56,6 +56,18 @@ def _degree_histogram(obj: DigitalObject, alpha: Adjacency) -> Dict[int, int]:
     return hist
 
 
+def _is_cycle(hist: Dict[int, int], n: int) -> bool:
+    """Degree test of a simple closed curve with n pixels."""
+    return n >= MIN_CLOSED_CURVE_SIZE and hist == {2: n}
+
+
+def _is_path(hist: Dict[int, int], n: int) -> bool:
+    """Degree test of a simple arc with n pixels."""
+    if n == 1:
+        return True
+    return hist.get(1, 0) == 2 and hist.get(2, 0) == n - 2 and len(hist) <= 2
+
+
 def is_general_curve(obj: DigitalObject, alpha: Adjacency) -> bool:
     """Nonempty, alpha-connected and free of 2x2 blocks."""
     if not obj:
@@ -73,8 +85,7 @@ def is_simple_closed_curve(obj: DigitalObject, alpha: Adjacency) -> bool:
         return False
     if not is_general_curve(obj, alpha):
         return False
-    hist = _degree_histogram(obj, alpha)
-    return hist == {2: len(obj)}
+    return _is_cycle(_degree_histogram(obj, alpha), len(obj))
 
 
 def is_simple_arc(obj: DigitalObject, alpha: Adjacency) -> bool:
@@ -85,10 +96,7 @@ def is_simple_arc(obj: DigitalObject, alpha: Adjacency) -> bool:
     """
     if not is_general_curve(obj, alpha):
         return False
-    if len(obj) == 1:
-        return True
-    hist = _degree_histogram(obj, alpha)
-    return hist.get(1, 0) == 2 and hist.get(2, 0) == len(obj) - 2 and len(hist) <= 2
+    return _is_path(_degree_histogram(obj, alpha), len(obj))
 
 
 def curve_report(obj: DigitalObject, alpha: Adjacency) -> CurveVerdict:
@@ -101,11 +109,13 @@ def curve_report(obj: DigitalObject, alpha: Adjacency) -> CurveVerdict:
     can seal a complement cell (h = 1), and then the arc identities, which
     presume h = 0, do not hold even though the degree test passes.
     """
-    closed = is_simple_closed_curve(obj, alpha)
-    arc = is_simple_arc(obj, alpha)
-    general = closed or arc or is_general_curve(obj, alpha)
+    general = is_general_curve(obj, alpha)
+    closed = arc = False
     checks = []
     if general:
+        hist = _degree_histogram(obj, alpha)
+        closed = _is_cycle(hist, len(obj))
+        arc = _is_path(hist, len(obj))
         rep = analyze(obj)
         p, v, h, t = rep.p, rep.v, rep.h, rep.t_direct
         checks.append(("general curve: t = v - 2(p + 1 - h)", t, v - 2 * (p + 1 - h)))

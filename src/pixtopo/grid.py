@@ -10,6 +10,7 @@ built on the small vocabulary defined here.
 from __future__ import annotations
 
 from enum import IntEnum
+from operator import index
 from typing import Iterable, Iterator, Optional, Tuple
 
 Pixel = Tuple[int, int]
@@ -59,13 +60,15 @@ class DigitalObject:
 
     Immutable after construction; safe to share between threads.  Membership
     is O(1); iteration is deterministic, sorted by (y, x), so reports built
-    from the same pixels always come out identical.
+    from the same pixels always come out identical.  Coordinates must be
+    integers (anything ``operator.index`` accepts, such as numpy integers);
+    floats and strings raise TypeError.
     """
 
     __slots__ = ("_pixels", "_sorted")
 
     def __init__(self, pixels: Iterable[Pixel] = ()):
-        self._pixels = frozenset((int(x), int(y)) for x, y in pixels)
+        self._pixels = frozenset((index(x), index(y)) for x, y in pixels)
         self._sorted: Optional[Tuple[Pixel, ...]] = None
 
     @property

@@ -11,12 +11,18 @@ point.  The counters are tied together by
 which ``analyze`` evaluates alongside the directly counted t as a built-in
 consistency check.
 
-Two implementations back the public functions: a dict/union-find path for
-small objects and a numpy/scipy raster path that takes over once the bounding
-box passes ``DENSE_AREA_THRESHOLD`` cells.  Both produce identical reports;
-the test suite cross-checks them.  Hole counting always materializes the
-bounding box (inflated by one cell), so memory is proportional to box area,
-capped at ``MAX_RASTER_CELLS``.
+``analyze``, ``count_holes`` and ``has_separating_tunnels`` build the
+bounding box: ``rasterize`` writes the object into a boolean mask over the box
+padded by one empty cell on each side.  v, b and t come from a census of the
+mask's 2x2 windows (Gray 1971), c0 and c1 from labelling the mask, and h from
+labelling its complement.  Memory is proportional to the box area, and these
+three functions raise ValueError once the tight box exceeds
+``MAX_RASTER_CELLS``.
+
+``count_vertices``, ``count_blocks``, ``count_tunnels_direct``,
+``count_components`` and ``is_k_separating`` build no bounding box.  They
+work on per-corner occupancy masks and a union-find over the pixel set, so
+they accept pixels that lie arbitrarily far apart.
 """
 
 from __future__ import annotations
@@ -29,11 +35,7 @@ from scipy import ndimage as ndi
 
 from .grid import Adjacency, DigitalObject, Pixel
 
-# Pure-Python counting is faster than per-call numpy overhead below roughly
-# this many bounding-box cells.
-DENSE_AREA_THRESHOLD = 4096
-
-# Hard ceiling for rasterization (hole counting is O(bounding box area)).
+# Hard ceiling for rasterize, whose memory grows with the bounding box area.
 MAX_RASTER_CELLS = 100_000_000
 
 _STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -70,7 +72,7 @@ EMPTY_REPORT = InvariantReport(0, 0, 0, 0, 0, 0, 0, 0, True)
 
 
 # ---------------------------------------------------------------------------
-# sparse helpers
+# corner-mask and union-find helpers (no bounding box)
 
 def corner_masks(pixels: Iterable[Pixel]) -> Dict[Tuple[int, int], int]:
     """Map each corner lattice point to its 4-bit pixel-occupancy mask."""
@@ -84,17 +86,6 @@ def corner_masks(pixels: Iterable[Pixel]) -> Dict[Tuple[int, int], int]:
         masks[(x, y1)] = get((x, y1), 0) | 2
         masks[(x1, y1)] = get((x1, y1), 0) | 1
     return masks
-
-
-def _vbt_sparse(pixels: FrozenSet[Pixel]) -> Tuple[int, int, int]:
-    masks = corner_masks(pixels)
-    b = t = 0
-    for m in masks.values():
-        if m == _BLOCK_MASK:
-            b += 1
-        elif m == 0b0110 or m == 0b1001:
-            t += 1
-    return len(masks), b, t
 
 
 def _union_scan(cells: Iterable[Pixel], preds: Tuple[Pixel, ...]) -> int:
@@ -138,30 +129,15 @@ def _components_sparse(pixels: FrozenSet[Pixel], adjacency: Adjacency) -> int:
     return _union_scan(order, preds)
 
 
-def _complement_components_sparse(obj: DigitalObject, adjacency: Adjacency) -> int:
-    """Components of the complement within the bounding box inflated by 1."""
-    box = obj.bounding_box()
-    if box is None:
-        return 1
-    (x0, y0), (x1, y1) = box
-    pixels = obj.pixels
-    preds = _PREDS_1 if adjacency is Adjacency.ONE else _PREDS_0
-    cells = [
-        (x, y)
-        for y in range(y0 - 1, y1 + 2)
-        for x in range(x0 - 1, x1 + 2)
-        if (x, y) not in pixels
-    ]
-    return _union_scan(cells, preds)
-
-
 # ---------------------------------------------------------------------------
-# dense helpers
+# raster helpers (bounding box)
 
 def rasterize(obj: DigitalObject) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Boolean mask over the tight bounding box plus its (x0, y0) origin.
+    """Boolean mask over the bounding box padded by one empty cell per side.
 
-    Row index is y - y0, column index is x - x0.  Raises ValueError when the
+    Returns the mask and the (x, y) coordinates of its cell [0, 0]: row index
+    is y - oy, column index is x - ox.  The empty frame makes the improper
+    complement region one connected strip.  Raises ValueError when the tight
     box exceeds MAX_RASTER_CELLS.
     """
     box = obj.bounding_box()
@@ -174,44 +150,38 @@ def rasterize(obj: DigitalObject) -> Tuple[np.ndarray, Tuple[int, int]]:
         raise ValueError(
             f"bounding box {w}x{h} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
         )
-    flat = np.zeros(w * h, dtype=bool)
+    ox, oy = x0 - 1, y0 - 1
+    pw = w + 2
+    base = oy * pw + ox
+    flat = np.zeros(pw * (h + 2), dtype=bool)
     idx = np.fromiter(
-        ((y - y0) * w + (x - x0) for x, y in obj.pixels),
+        (y * pw + x - base for x, y in obj.pixels),
         dtype=np.int64,
         count=len(obj),
     )
     flat[idx] = True
-    return flat.reshape(h, w), (x0, y0)
+    return flat.reshape(h + 2, pw), (ox, oy)
 
 
-def _quadrants(mask: np.ndarray):
-    """The four pixel-occupancy views around every corner of a padded mask."""
-    padded = np.pad(mask, 1)
-    return padded[:-1, :-1], padded[:-1, 1:], padded[1:, :-1], padded[1:, 1:]
+def _vbt(mask: np.ndarray) -> Tuple[int, int, int]:
+    """Vertices, 2x2 blocks and tunnels of a padded mask.
+
+    Bit-quad census (Gray 1971): each 2x2 window of the mask is the corner
+    mask of the lattice point at its center.  Kept out of ``analyze`` so its
+    temporaries are freed before the labellings allocate theirs.
+    """
+    m = mask.view(np.uint8)
+    pairs = m[:, :-1] + 2 * m[:, 1:]
+    codes = pairs[:-1] + 4 * pairs[1:]
+    # count_nonzero, unlike bincount, makes no intp copy of the codes
+    v = np.count_nonzero(codes)
+    b = np.count_nonzero(codes == _BLOCK_MASK)
+    t = np.count_nonzero(codes == _TUNNEL_MASKS[0]) + np.count_nonzero(codes == _TUNNEL_MASKS[1])
+    return int(v), int(b), int(t)
 
 
-def _analyze_dense(obj: DigitalObject) -> InvariantReport:
-    mask, _ = rasterize(obj)
-    p = int(mask.sum())
-    q00, q01, q10, q11 = _quadrants(mask)
-    inc = q00.astype(np.uint8) + q01 + q10 + q11
-    v = int(np.count_nonzero(inc))
-    b = int(np.count_nonzero(inc == 4))
-    diagonal = (q00 & q11 & ~q01 & ~q10) | (q01 & q10 & ~q00 & ~q11)
-    t = int(np.count_nonzero(diagonal))
-    c0 = int(ndi.label(mask, structure=_STRUCT8)[1])
-    c1 = int(ndi.label(mask, structure=_STRUCT4)[1])
-    h = int(ndi.label(~np.pad(mask, 1), structure=_STRUCT4)[1]) - 1
-    tf = tunnels_by_formula(p, v, c0, h, b)
-    return InvariantReport(p, v, c0, c1, h, b, t, tf, t == tf)
-
-
-def _box_area(obj: DigitalObject) -> int:
-    box = obj.bounding_box()
-    if box is None:
-        return 0
-    (x0, y0), (x1, y1) = box
-    return (x1 - x0 + 1) * (y1 - y0 + 1)
+def _count_labels(image: np.ndarray, structure: np.ndarray) -> int:
+    return int(ndi.label(image, structure=structure)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +223,8 @@ def count_holes(obj: DigitalObject) -> int:
     """
     if not obj:
         return 0
-    if _box_area(obj) > DENSE_AREA_THRESHOLD:
-        mask, _ = rasterize(obj)
-        return int(ndi.label(~np.pad(mask, 1), structure=_STRUCT4)[1]) - 1
-    return _complement_components_sparse(obj, Adjacency.ONE) - 1
+    mask, _ = rasterize(obj)
+    return _count_labels(~mask, _STRUCT4) - 1
 
 
 def tunnels_by_formula(p: int, v: int, c: int, h: int, b: int) -> int:
@@ -273,13 +241,11 @@ def analyze(obj: DigitalObject) -> InvariantReport:
     p = len(obj)
     if p == 0:
         return EMPTY_REPORT
-    if _box_area(obj) > DENSE_AREA_THRESHOLD:
-        return _analyze_dense(obj)
-    pixels = obj.pixels
-    v, b, t = _vbt_sparse(pixels)
-    c0 = _components_sparse(pixels, Adjacency.ZERO)
-    c1 = _components_sparse(pixels, Adjacency.ONE)
-    h = _complement_components_sparse(obj, Adjacency.ONE) - 1
+    mask, _ = rasterize(obj)
+    v, b, t = _vbt(mask)
+    c0 = _count_labels(mask, _STRUCT8)
+    c1 = _count_labels(mask, _STRUCT4)
+    h = _count_labels(~mask, _STRUCT4) - 1
     tf = tunnels_by_formula(p, v, c0, h, b)
     return InvariantReport(p, v, c0, c1, h, b, t, tf, t == tf)
 
@@ -312,12 +278,6 @@ def has_separating_tunnels(obj: DigitalObject) -> bool:
     """
     if not obj:
         return False
-    if _box_area(obj) > DENSE_AREA_THRESHOLD:
-        mask, _ = rasterize(obj)
-        comp = ~np.pad(mask, 1)
-        n1 = int(ndi.label(comp, structure=_STRUCT4)[1])
-        n0 = int(ndi.label(comp, structure=_STRUCT8)[1])
-    else:
-        n1 = _complement_components_sparse(obj, Adjacency.ONE)
-        n0 = _complement_components_sparse(obj, Adjacency.ZERO)
-    return n1 > n0
+    mask, _ = rasterize(obj)
+    comp = ~mask
+    return _count_labels(comp, _STRUCT4) > _count_labels(comp, _STRUCT8)

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pixtopo
 from pixtopo.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 DIAMOND_TEXT = ".#.\n#.#\n.#.\n"
@@ -116,9 +118,11 @@ def test_gen_conflicting_options(capsys):
 
 
 def test_module_entry_point(diamond_file):
+    # run from the directory holding the imported package, so the child finds
+    # the same pixtopo whether it is installed or not
     result = subprocess.run(
         [sys.executable, "-m", "pixtopo.cli", "analyze", diamond_file, "--json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(pixtopo.__file__).parents[1],
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["p"] == 4

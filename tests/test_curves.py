@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DIAMOND, DIAGONAL_PAIR, DOMINO, RING8, SQUARE2
 from pixtopo import (
@@ -135,6 +135,21 @@ def test_predicate_hierarchy(o, alpha):
         assert not (closed and arc)
     if general:
         assert analyze(o).b == 0
+
+
+@given(small_objects, adjacencies)
+@example(DigitalObject(DIAMOND), Adjacency.ZERO)
+@example(DigitalObject(RING8), Adjacency.ONE)
+@example(DigitalObject(FIGURE_EIGHT), Adjacency.ONE)
+@example(DigitalObject([(0, 0)]), Adjacency.ZERO)
+@settings(max_examples=300)
+def test_curve_report_flags_match_the_predicates(o, alpha):
+    verdict = curve_report(o, alpha)
+    assert (verdict.is_simple_closed, verdict.is_simple_arc, verdict.is_general_curve) == (
+        is_simple_closed_curve(o, alpha),
+        is_simple_arc(o, alpha),
+        is_general_curve(o, alpha),
+    )
 
 
 @given(small_objects, adjacencies)

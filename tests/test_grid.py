@@ -1,3 +1,5 @@
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from pixtopo import Adjacency, are_adjacent, corners, from_pixels, neighbors
@@ -38,6 +40,18 @@ def test_from_pixels_empty():
 
 def test_from_pixels_dedup():
     assert len(from_pixels([(0, 0), (0, 0)])) == 1
+
+
+@pytest.mark.parametrize("pixels", [[(0.7, 0), (0, 0)], [(0, 0), (1, 2.0)], [("1", 0)]])
+def test_non_integral_coordinates_are_rejected(pixels):
+    with pytest.raises(TypeError):
+        from_pixels(pixels)
+
+
+def test_numpy_integer_coordinates_are_accepted():
+    obj = from_pixels([(np.int64(1), np.int32(2)), (np.uint8(0), 0)])
+    assert obj == from_pixels([(1, 2), (0, 0)])
+    assert all(type(c) is int for p in obj for c in p)
 
 
 def test_from_pixels_diamond():

@@ -13,12 +13,13 @@ from pixtopo import (
     count_pixels,
     count_tunnels_direct,
     count_vertices,
+    generate_random,
     has_separating_tunnels,
     is_k_separating,
     is_tunnel_free,
     tunnels_by_formula,
 )
-from pixtopo.invariants import _analyze_dense
+from pixtopo import invariants
 
 
 small_objects = st.builds(
@@ -152,11 +153,51 @@ def test_separating_tunnels_imply_counted_tunnels():
             assert count_tunnels_direct(obj(pixels)) > 0
 
 
+# --- the raster path ------------------------------------------------------
+
+def test_rasterize_pads_one_empty_cell_per_side():
+    mask, origin = invariants.rasterize(obj([(2, 5), (3, 6)]))
+    assert origin == (1, 4)
+    assert mask.tolist() == [
+        [False, False, False, False],
+        [False, True, False, False],
+        [False, False, True, False],
+        [False, False, False, False],
+    ]
+
+
+@pytest.mark.parametrize("fn", [analyze, count_holes, has_separating_tunnels])
+def test_raster_functions_build_one_bounding_box(fn, monkeypatch):
+    calls = {"rasterize": 0, "bounding_box": 0}
+    rasterize, bounding_box = invariants.rasterize, DigitalObject.bounding_box
+
+    def counted_rasterize(o):
+        calls["rasterize"] += 1
+        return rasterize(o)
+
+    def counted_bounding_box(self):
+        calls["bounding_box"] += 1
+        return bounding_box(self)
+
+    monkeypatch.setattr(invariants, "rasterize", counted_rasterize)
+    monkeypatch.setattr(DigitalObject, "bounding_box", counted_bounding_box)
+    fn(obj(DIAMOND))
+    assert calls == {"rasterize": 1, "bounding_box": 1}
+
+
+@pytest.mark.parametrize("fn", [analyze, count_holes, has_separating_tunnels])
+def test_raster_functions_refuse_oversized_boxes(fn):
+    far = obj([(0, 0), (20_000, 20_000)])
+    with pytest.raises(ValueError, match="exceeds the raster limit"):
+        fn(far)
+    # the counters that build no raster still answer
+    assert count_components(far, Adjacency.ZERO) == 2
+    assert count_vertices(far) == 8
+
+
 # --- equivalence with the brute-force oracles ------------------------------
 
-@given(small_objects)
-@settings(max_examples=300)
-def test_analyze_matches_oracles(o):
+def _assert_matches_oracles(o):
     rep = analyze(o)
     expected = oracles.report(o.pixels)
     got = {
@@ -168,13 +209,28 @@ def test_analyze_matches_oracles(o):
 
 
 @given(small_objects)
-@settings(max_examples=150)
-def test_dense_path_matches_sparse_path(o):
-    if not o:
-        return
-    sparse = analyze(o)
-    dense = _analyze_dense(o)
-    assert sparse == dense
+@settings(max_examples=300)
+def test_analyze_matches_oracles(o):
+    _assert_matches_oracles(o)
+
+
+@pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("width, height", [(64, 64), (65, 65), (70, 40)])
+def test_analyze_matches_oracles_on_larger_grids(width, height, density):
+    _assert_matches_oracles(generate_random(width, height, density, seed=11))
+
+
+@given(small_objects)
+@settings(max_examples=300)
+def test_analyze_matches_the_counters_that_build_no_raster(o):
+    rep = analyze(o)
+    assert (rep.v, rep.b, rep.t_direct, rep.c0, rep.c1) == (
+        count_vertices(o),
+        count_blocks(o),
+        count_tunnels_direct(o),
+        count_components(o, Adjacency.ZERO),
+        count_components(o, Adjacency.ONE),
+    )
 
 
 @given(small_objects)
