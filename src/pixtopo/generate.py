@@ -71,7 +71,8 @@ def generate_random(
     """Bernoulli-sample a width x height grid with the given pixel density.
 
     Identical (width, height, density, seed) always yield the identical
-    object.  Grids beyond ``cell_cap`` cells are refused.
+    object, mask-backed with cell i at row i // width, column i % width.
+    Grids beyond ``cell_cap`` cells are refused.
     """
     if width <= 0 or height <= 0:
         raise ValueError("width and height must be positive")
@@ -84,8 +85,7 @@ def generate_random(
     with np.errstate(over="ignore"):
         states = np.arange(1, cells + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed & _U64)
         draws = _mix(states) >> np.uint64(11)
-    idx = np.nonzero(draws < np.uint64(threshold))[0]
-    return DigitalObject((int(i % width), int(i // width)) for i in idx)
+    return DigitalObject.from_mask((draws < np.uint64(threshold)).reshape(height, width))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ padded by one empty cell on each side.  v, b and t come from a census of the
 mask's 2x2 windows (Gray 1971), c0 and c1 from labelling the mask, and h from
 labelling its complement.  Memory is proportional to the box area, and these
 three functions raise ValueError once the tight box exceeds
-``MAX_RASTER_CELLS``.
+``MAX_RASTER_CELLS``.  They never build the pixel set of a mask-backed
+object (see ``grid.DigitalObject``): ``rasterize`` copies its mask.
 
 ``count_vertices``, ``count_blocks``, ``count_tunnels_direct``,
 ``count_components`` and ``is_k_separating`` build no bounding box.  They
 work on per-corner occupancy masks and a union-find over the pixel set, so
-they accept pixels that lie arbitrarily far apart.
+they accept pixels that lie arbitrarily far apart, and they build the pixel
+set of a mask-backed object.
 """
 
 from __future__ import annotations
@@ -137,8 +139,10 @@ def rasterize(obj: DigitalObject) -> Tuple[np.ndarray, Tuple[int, int]]:
 
     Returns the mask and the (x, y) coordinates of its cell [0, 0]: row index
     is y - oy, column index is x - ox.  The empty frame makes the improper
-    complement region one connected strip.  Raises ValueError when the tight
-    box exceeds MAX_RASTER_CELLS.
+    complement region one connected strip.  A mask-backed object's mask is
+    copied into the padded buffer with one slice assignment, so no pixel
+    tuple is built; a set-backed object is written through flat indices.
+    Raises ValueError when the tight box exceeds MAX_RASTER_CELLS.
     """
     box = obj.bounding_box()
     if box is None:
@@ -150,17 +154,8 @@ def rasterize(obj: DigitalObject) -> Tuple[np.ndarray, Tuple[int, int]]:
         raise ValueError(
             f"bounding box {w}x{h} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
         )
-    ox, oy = x0 - 1, y0 - 1
-    pw = w + 2
-    base = oy * pw + ox
-    flat = np.zeros(pw * (h + 2), dtype=bool)
-    idx = np.fromiter(
-        (y * pw + x - base for x, y in obj.pixels),
-        dtype=np.int64,
-        count=len(obj),
-    )
-    flat[idx] = True
-    return flat.reshape(h + 2, pw), (ox, oy)
+    origin = (x0 - 1, y0 - 1)
+    return obj._to_mask(origin, (h + 2, w + 2)), origin
 
 
 def _vbt(mask: np.ndarray) -> Tuple[int, int, int]:

@@ -15,9 +15,11 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from .curves import CurveVerdict
 from .grid import Adjacency, DigitalObject
-from .invariants import InvariantReport
+from .invariants import MAX_RASTER_CELLS, InvariantReport
 
 FORMAT_VERSION = "1"
 
@@ -47,28 +49,39 @@ def parse_ascii_grid(text: str) -> DigitalObject:
     return DigitalObject(pixels)
 
 
+def _writer_mask(obj: DigitalObject) -> np.ndarray:
+    """The object as a mask over the writers' box.
+
+    The box runs from (min(xmin, 0), min(ymin, 0)) to the bounding box's far
+    corner, so objects in the nonnegative quadrant keep their coordinates.
+    Raises ValueError when the box exceeds MAX_RASTER_CELLS.
+    """
+    box = obj.bounding_box()
+    if box is None:
+        return np.zeros((0, 0), dtype=bool)
+    (x0, y0), (x1, y1) = box
+    x0 = min(x0, 0)
+    y0 = min(y0, 0)
+    width = x1 - x0 + 1
+    height = y1 - y0 + 1
+    if width * height > MAX_RASTER_CELLS:
+        raise ValueError(
+            f"image {width}x{height} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
+        )
+    return obj._to_mask((x0, y0), (height, width))
+
+
 def to_ascii_grid(obj: DigitalObject, pixel_char: str = "#", empty_char: str = ".") -> str:
     """Render the object as an ASCII grid (inverse of parse_ascii_grid).
 
     When the object lies in the nonnegative quadrant the rendering starts at
     the origin, so parse -> render -> parse is the identity on coordinates;
     otherwise it starts at the bounding-box corner (grids cannot express
-    negative positions).
+    negative positions).  Raises ValueError when the rendered grid would
+    exceed MAX_RASTER_CELLS cells.
     """
-    box = obj.bounding_box()
-    if box is None:
-        return ""
-    (x0, y0), (x1, y1) = box
-    x0 = min(x0, 0)
-    y0 = min(y0, 0)
-    rows = []
-    for y in range(y0, y1 + 1):
-        rows.append(
-            "".join(
-                pixel_char if (x, y) in obj else empty_char for x in range(x0, x1 + 1)
-            )
-        )
-    return "\n".join(rows)
+    cells = np.where(_writer_mask(obj), pixel_char, empty_char)
+    return "\n".join("".join(row) for row in cells.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +120,10 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 def parse_pbm(data: bytes) -> DigitalObject:
     """Parse a PBM image, ASCII (P1) or packed binary (P4); bit 1 is a pixel.
 
-    P4 rows are padded to whole bytes, most significant bit first.  Raises
-    ParseError with a byte offset on bad magic, malformed header or a
-    truncated raster.
+    P4 rows are padded to whole bytes, most significant bit first; padding
+    bits and bytes after the raster are ignored, and the object is
+    mask-backed.  Raises ParseError with a byte offset on bad magic,
+    malformed header or a truncated raster.
     """
     magic = data[:2]
     if magic not in (b"P1", b"P4"):
@@ -147,48 +161,25 @@ def parse_pbm(data: bytes) -> DigitalObject:
         row_bytes = (width + 7) // 8
         if len(data) - pos < row_bytes * height:
             raise ParseError(f"unexpected end of raster at byte {len(data)}")
-        for y in range(height):
-            row = data[pos : pos + row_bytes]
-            pos += row_bytes
-            for x in range(width):
-                if row[x >> 3] & (0x80 >> (x & 7)):
-                    pixels.append((x, y))
+        raster = np.frombuffer(data, dtype=np.uint8, count=row_bytes * height, offset=pos)
+        rows = raster.reshape(height, row_bytes)
+        return DigitalObject.from_mask(np.unpackbits(rows, axis=1, count=width).view(bool))
     return DigitalObject(pixels)
 
 
 def to_pbm(obj: DigitalObject, binary: bool = True) -> bytes:
     """Render the object as PBM bytes, P4 when binary else P1.
 
-    Same origin rule as to_ascii_grid: coordinates are preserved for objects
-    in the nonnegative quadrant.
+    Same origin rule and size limit as to_ascii_grid: coordinates are
+    preserved for objects in the nonnegative quadrant.
     """
-    box = obj.bounding_box()
-    if box is None:
-        width = height = 0
-        x0 = y0 = 0
-    else:
-        (bx0, by0), (bx1, by1) = box
-        x0 = min(bx0, 0)
-        y0 = min(by0, 0)
-        width = bx1 - x0 + 1
-        height = by1 - y0 + 1
+    mask = _writer_mask(obj)
+    height, width = mask.shape
+    header = f"{width} {height}".encode()
     if not binary:
-        lines = [b"P1", f"{width} {height}".encode()]
-        for y in range(y0, y0 + height):
-            lines.append(
-                b"".join(b"1" if (x, y) in obj else b"0" for x in range(x0, x0 + width))
-            )
-        return b"\n".join(lines) + b"\n"
-    out = bytearray(b"P4\n")
-    out += f"{width} {height}\n".encode()
-    row_bytes = (width + 7) // 8
-    for y in range(y0, y0 + height):
-        row = bytearray(row_bytes)
-        for i, x in enumerate(range(x0, x0 + width)):
-            if (x, y) in obj:
-                row[i >> 3] |= 0x80 >> (i & 7)
-        out += row
-    return bytes(out)
+        digits = mask.view(np.uint8) + ord("0")
+        return b"\n".join([b"P1", header, *(row.tobytes() for row in digits)]) + b"\n"
+    return b"P4\n" + header + b"\n" + np.packbits(mask, axis=1).tobytes()
 
 
 # ---------------------------------------------------------------------------

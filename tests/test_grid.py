@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pixtopo import Adjacency, are_adjacent, corners, from_pixels, neighbors
+from pixtopo import Adjacency, DigitalObject, are_adjacent, corners, from_pixels, neighbors
 
 coords = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -76,6 +76,54 @@ def test_equality_and_hash():
     b = from_pixels([(1, 1), (0, 0), (0, 0)])
     assert a == b and hash(a) == hash(b)
     assert a != from_pixels([(0, 0)])
+
+
+# --- mask-backed objects ------------------------------------------------------
+
+def test_from_mask_cell_convention_and_trimming():
+    mask = np.zeros((4, 5), dtype=bool)
+    mask[1, 2] = mask[2, 3] = True
+    obj = DigitalObject.from_mask(mask, origin=(10, -7))
+    # cell [row, col] is pixel (ox + col, oy + row); empty rows and columns drop
+    assert obj == from_pixels([(12, -6), (13, -5)])
+    assert obj.bounding_box() == ((12, -6), (13, -5))
+    assert list(obj) == [(12, -6), (13, -5)]
+    assert len(obj) == 2 and obj
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0), (3, 4)])
+def test_from_mask_without_pixels_is_the_empty_object(shape):
+    obj = DigitalObject.from_mask(np.zeros(shape, dtype=bool), origin=(5, 5))
+    assert obj == DigitalObject()
+    assert not obj and len(obj) == 0 and list(obj) == []
+    assert obj.bounding_box() is None
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+def test_from_mask_rejects_non_2d_masks(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        DigitalObject.from_mask(np.ones(shape, dtype=bool))
+
+
+def test_from_mask_rejects_non_integral_origin():
+    with pytest.raises(TypeError):
+        DigitalObject.from_mask(np.ones((1, 1), dtype=bool), origin=(0.5, 0))
+
+
+def test_from_mask_copies_its_input():
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[1, 1] = True
+    obj = DigitalObject.from_mask(mask)
+    mask[:] = True
+    assert obj == from_pixels([(1, 1)])
+    assert len(obj) == 1 and obj.bounding_box() == ((1, 1), (1, 1))
+
+
+def test_mask_backed_iteration_yields_plain_ints():
+    obj = DigitalObject.from_mask(np.eye(3, dtype=bool), origin=(np.int64(-1), 2))
+    assert list(obj) == [(-1, 2), (0, 3), (1, 4)]
+    assert all(type(c) is int for p in obj for c in p)
+    assert all(type(c) is int for p in obj.pixels for c in p)
 
 
 def test_translate():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,9 @@ from pixtopo import (
     TrackerCorruptionError,
     analyze,
     classify_case,
+    generate_random,
 )
+from pixtopo.incremental import COORD_BOUND
 
 pixel_lists = st.lists(
     st.tuples(st.integers(-2, 7), st.integers(-2, 7)), unique=True, max_size=40
@@ -112,6 +115,57 @@ def test_membership_and_as_object():
     assert (1, 0) in tr and (1, 1) not in tr
     assert "nonsense" not in tr
     assert tr.as_object() == DigitalObject(DIAMOND)
+
+
+@pytest.mark.parametrize("pixel", [(0.5, 0), (0, 2.0), ("1", 0)])
+def test_non_integral_pixel_is_rejected_and_state_unchanged(pixel):
+    tr = Tracker(DIAMOND)
+    before = tr.snapshot()
+    with pytest.raises(TypeError):
+        tr.add_pixel(pixel)
+    assert tr.snapshot() == before
+    assert tr.as_object() == DigitalObject(DIAMOND)
+
+
+def test_numpy_integer_pixels_are_stored_as_int():
+    # far enough out that a numpy int64 key (x * 2**34 + ...) would overflow
+    tr = Tracker([(np.int64(2**32), np.int64(-5)), (np.int32(1), np.uint8(2))])
+    assert tr.as_object() == DigitalObject([(2**32, -5), (1, 2)])
+    assert (2**32, -5) in tr and (1, 2) in tr
+
+
+def test_membership_converts_like_add_pixel():
+    tr = Tracker([(1, 2)])
+    assert (np.int64(1), np.int64(2)) in tr
+    assert (1.0, 2) not in tr
+    assert (0.5, 2) not in tr
+    # out of the coordinate bound: must not alias the key of (1, 2)
+    assert (0, 2**34 + 2) not in tr
+
+
+def test_pixels_at_the_coordinate_bound_keep_distinct_keys():
+    # the top corners of (0, B - 1) and the bottom corners of (1, -B + 1)
+    # sit at the two ends of adjacent key columns
+    top, bottom = COORD_BOUND - 1, -COORD_BOUND + 1
+    pixels = [(0, top), (0, top - 1), (1, bottom), (-1, bottom)]
+    tr = Tracker(pixels)
+    assert (tr.p, tr.v, tr.b, tr.t, tr.c) == (4, 6 + 4 + 4, 0, 0, 3)
+    assert tr.snapshot().h == 0
+    assert all(pixel in tr for pixel in pixels)
+    assert (1, top) not in tr and (0, bottom) not in tr
+    assert tr.as_object() == DigitalObject(pixels)
+
+
+@pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
+def test_shuffled_random_grid_matches_analyze(density):
+    obj = generate_random(64, 48, density, seed=7)
+    pixels = list(obj)
+    np.random.default_rng(11).shuffle(pixels)
+    snap = Tracker(pixels).snapshot()
+    rep = analyze(obj)
+    assert (snap.p, snap.v, snap.c0, snap.h, snap.b, snap.t_direct) == (
+        rep.p, rep.v, rep.c0, rep.h, rep.b, rep.t_direct,
+    )
 
 
 def test_corruption_is_detected():

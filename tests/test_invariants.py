@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from pixtopo import (
     count_pixels,
     count_tunnels_direct,
     count_vertices,
+    curve_report,
     generate_random,
     has_separating_tunnels,
     is_k_separating,
@@ -284,6 +286,42 @@ def test_square_symmetry_invariance(o, which):
     assert (a.p, a.v, a.c0, a.c1, a.h, a.b, a.t_direct) == (
         b.p, b.v, b.c0, b.c1, b.h, b.b, b.t_direct,
     )
+
+
+# --- the two representations of an object ---------------------------------
+
+@given(
+    small_objects,
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+@settings(max_examples=300)
+def test_mask_backed_object_matches_set_backed(o, ox, oy, pad_x, pad_y):
+    # small_objects lie in [-3, 8]^2; the mask has empty margins to trim
+    height, width = 14 + pad_y, 14 + pad_x
+    mask = np.zeros((height, width), dtype=bool)
+    for x, y in o.pixels:
+        mask[y + 3 + pad_y, x + 3 + pad_x] = True
+    m = DigitalObject.from_mask(mask, origin=(ox, oy))
+    s = o.translate(ox + 3 + pad_x, oy + 3 + pad_y)
+
+    assert len(m) == len(s)
+    assert bool(m) == bool(s)
+    assert list(m) == list(s)
+    assert m.bounding_box() == s.bounding_box()
+    assert analyze(m) == analyze(s)
+    assert count_holes(m) == count_holes(s)
+    assert has_separating_tunnels(m) == has_separating_tunnels(s)
+    # none of the above builds the pixel set of a mask-backed object
+    assert m._pixels is None or not m
+    for alpha in (Adjacency.ZERO, Adjacency.ONE):
+        assert curve_report(m, alpha) == curve_report(s, alpha)
+    assert m == s and hash(m) == hash(s)
+    for x in range(ox - 1, ox + width + 1):
+        for y in range(oy - 1, oy + height + 1):
+            assert ((x, y) in m) == ((x, y) in s)
 
 
 def test_exhaustive_3x3_smoke():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,24 @@ grid_objects = st.builds(
     DigitalObject,
     st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
 )
+
+
+@st.composite
+def wide_objects(draw):
+    """Objects exactly 9 or 17 columns wide: one and two P4 bytes plus one bit."""
+    width = draw(st.sampled_from([9, 17]))
+    cells = draw(st.sets(st.tuples(st.integers(0, width - 1), st.integers(0, 5)), max_size=40))
+    return DigitalObject(cells | {(width - 1, 0)})
+
+
+def as_mask_backed(cells):
+    """The same pixels, held as a mask."""
+    x0 = min([x for x, _ in cells], default=0)
+    y0 = min([y for _, y in cells], default=0)
+    mask = np.zeros((32, 32), dtype=bool)
+    for x, y in cells:
+        mask[y - y0, x - x0] = True
+    return DigitalObject.from_mask(mask, (x0, y0))
 
 
 # --- ascii grids -------------------------------------------------------------
@@ -125,12 +144,103 @@ def test_parse_p1_truncated():
         parse_pbm(b"P1\n2 2\n101")
 
 
-@given(grid_objects)
+@given(st.one_of(grid_objects, wide_objects()))
 @settings(max_examples=150)
 def test_formats_agree(obj):
     assert parse_pbm(to_pbm(obj, binary=True)) == obj
     assert parse_pbm(to_pbm(obj, binary=False)) == obj
     assert parse_ascii_grid(to_ascii_grid(obj)) == obj
+
+
+@given(st.sets(st.tuples(st.integers(-12, 9), st.integers(-12, 9)), max_size=40))
+@settings(max_examples=150)
+def test_writers_start_negative_objects_at_their_corner(cells):
+    # negative positions do not round-trip: each writer renders the object
+    # shifted by (-min(x0, 0), -min(y0, 0)), from either representation
+    obj = DigitalObject(cells)
+    dx = -min([0] + [x for x, _ in cells])
+    dy = -min([0] + [y for _, y in cells])
+    shifted = obj.translate(dx, dy)
+    for o in (obj, as_mask_backed(cells)):
+        assert to_pbm(o, binary=True) == to_pbm(shifted, binary=True)
+        assert to_pbm(o, binary=False) == to_pbm(shifted, binary=False)
+        assert to_ascii_grid(o) == to_ascii_grid(shifted)
+    assert parse_pbm(to_pbm(obj)) == shifted
+
+
+@pytest.mark.parametrize("write", [
+    to_ascii_grid,
+    lambda o: to_pbm(o, binary=True),
+    lambda o: to_pbm(o, binary=False),
+])
+def test_writers_refuse_oversized_images(write):
+    with pytest.raises(ValueError, match="exceeds the raster limit"):
+        write(DigitalObject([(0, 0), (20_000, 20_000)]))
+
+
+def test_writers_on_the_empty_object():
+    assert to_pbm(DigitalObject(), binary=True) == b"P4\n0 0\n"
+    assert to_pbm(DigitalObject(), binary=False) == b"P1\n0 0\n"
+    assert to_ascii_grid(DigitalObject()) == ""
+
+
+# --- P4 decoding against a per-bit reference -----------------------------
+
+def _p4_pixels(width, height, raster):
+    """Decode a P4 raster one bit at a time, most significant bit first."""
+    row_bytes = (width + 7) // 8
+    return {
+        (x, y)
+        for y in range(height)
+        for x in range(width)
+        if raster[y * row_bytes + (x >> 3)] & (0x80 >> (x & 7))
+    }
+
+
+def _assert_decodes_like_reference(width, height, raster, trailing=b""):
+    obj = parse_pbm(b"P4\n%d %d\n" % (width, height) + raster + trailing)
+    expected = _p4_pixels(width, height, raster)
+    assert obj.pixels == expected
+    assert list(obj) == sorted(expected, key=lambda p: (p[1], p[0]))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parse_p4_matches_bitwise_decoding(width, seed):
+    height = 5
+    raster = np.random.default_rng([width, seed]).integers(
+        0, 256, size=height * ((width + 7) // 8), dtype=np.uint8
+    ).tobytes()
+    _assert_decodes_like_reference(width, height, raster)
+
+
+@pytest.mark.parametrize("width", [1, 7, 9, 17])
+def test_parse_p4_ignores_set_padding_bits(width):
+    # every bit set, padding included: exactly the width x 3 cells are pixels
+    raster = b"\xff" * (3 * ((width + 7) // 8))
+    _assert_decodes_like_reference(width, 3, raster)
+    assert len(parse_pbm(b"P4\n%d 3\n" % width + raster)) == 3 * width
+
+
+def test_parse_p4_ignores_trailing_bytes():
+    _assert_decodes_like_reference(9, 2, b"\x81\x80\x7f\x00", trailing=b"\xff\xffP4 junk")
+
+
+@pytest.mark.parametrize("header", [b"P4\n0 4\n", b"P4\n5 0\n", b"P4\n0 0\n", b"P4 0 3 "])
+def test_parse_p4_without_cells(header):
+    assert parse_pbm(header) == DigitalObject()
+    assert parse_pbm(header + b"\xff\xff") == DigitalObject()
+
+
+@pytest.mark.parametrize("data, end", [
+    (b"P4\n9 2\n\x80\x80\x80", 10),
+    (b"P4\n8 3\n", 7),
+    (b"P4\n1 1\n", 7),
+])
+def test_parse_p4_truncated_raster_message(data, end):
+    assert len(data) == end
+    with pytest.raises(ParseError, match=f"^unexpected end of raster at byte {end}$"):
+        parse_pbm(data)
 
 
 # --- report emission ---------------------------------------------------------
