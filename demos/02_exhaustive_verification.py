@@ -3,48 +3,38 @@
 
 Two sweeps: every one of the 512 subsets of a 3x3 grid, then a batch of
 seeded random objects at several densities.  For each object the directly
-counted tunnels are compared with v - 2(p + c - h) + b.  The identity is
-exact, so a single disagreement anywhere would flag a counting bug.
+counted tunnels are compared with v - 2(p + c - h) + b, and each random
+object is also rebuilt pixel by pixel with a Tracker, whose counters must
+match.  The identity is exact, so a single disagreement anywhere would flag
+a counting bug, and the demo then exits with status 1.
 """
 
+import sys
 import time
+from collections import Counter
 
-from pixtopo import DigitalObject, analyze, generate_random
-
-
-def sweep_3x3():
-    cells = [(x, y) for y in range(3) for x in range(3)]
-    bad = 0
-    for mask in range(512):
-        obj = DigitalObject(cells[i] for i in range(9) if mask >> i & 1)
-        if not analyze(obj).consistent:
-            bad += 1
-    return 512, bad
+from pixtopo import analyze
+from pixtopo.verify import agrees, grid_subsets, random_sweep
 
 
-def sweep_random(runs_per_density=400):
-    checked = bad = 0
-    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for seed in range(runs_per_density):
-            obj = generate_random(18, 18, density, seed=seed * 31 + int(density * 10))
-            checked += 1
-            if not analyze(obj).consistent:
-                bad += 1
-    return checked, bad
-
-
-def main() -> None:
+def main() -> int:
     print(__doc__)
     start = time.perf_counter()
-    n, bad = sweep_3x3()
-    print(f"exhaustive 3x3 sweep: {n} subsets, {bad} inconsistent")
-    n, bad = sweep_random()
-    print(f"random sweep:         {n} objects, {bad} inconsistent")
+    bad_subsets = sum(not analyze(obj).consistent for obj in grid_subsets(3, 3))
+    print(f"exhaustive 3x3 sweep: 512 subsets, {bad_subsets} inconsistent")
+    cases = Counter()
+    bad_random = 0
+    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for report, snapshot in random_sweep(18, 18, density, int(density * 10), 400, cases):
+            bad_random += not (report.consistent and agrees(snapshot, report))
+    print(f"random sweep:         2000 objects, {bad_random} inconsistent "
+          f"({sum(cases.values())} tracked insertions)")
     print(f"elapsed: {time.perf_counter() - start:.2f}s")
     print()
     print("The same checks at larger scale run via the CLI:")
     print("    pixtopo verify --grid 20x20 --runs 1000 --exhaustive 4x4")
+    return 1 if bad_subsets or bad_random else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

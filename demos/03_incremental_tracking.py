@@ -5,12 +5,15 @@ A Tracker maintains (p, v, b, t, c) with constant local work per insertion
 and derives the hole count algebraically, h = p + c + (t - v - b)/2, with no
 flood fill ever.  Each insertion yields a change vector that classifies into
 a small table of cases; the second half of the demo builds a random object
-and prints how often each case fired.
+and prints how often each case fired.  The demo exits with status 1 if the
+final tracked counters disagree with a fresh recompute.
 """
 
+import sys
 from collections import Counter
 
-from pixtopo import CaseId, Tracker, analyze, classify_case, generate_random
+from pixtopo import Tracker, analyze, classify_case, generate_random
+from pixtopo.verify import agrees, case_table, replay
 
 # grow a square ring, then fill its center
 STORY = [
@@ -20,7 +23,7 @@ STORY = [
 ]
 
 
-def main() -> None:
+def main() -> int:
     print(__doc__)
     tracker = Tracker()
     print("insert   ->   dv  dc  dh  db  dt   case    tracked (p,v,b,t,c) h")
@@ -42,14 +45,12 @@ def main() -> None:
     print()
     print("case frequencies while building a random 60x60 object:")
     cases = Counter()
-    tracker = Tracker()
-    for pixel in generate_random(60, 60, 0.5, seed=7):
-        cases[classify_case(tracker.add_pixel(pixel))] += 1
-    total = sum(cases.values())
-    for case in CaseId:
-        if cases[case]:
-            print(f"    {case.value:>9}  {cases[case]:>5}  {cases[case] / total:6.1%}")
+    for _ in replay(Tracker(), generate_random(60, 60, 0.5, seed=7), cases):
+        pass
+    for line in case_table(cases):
+        print(f"    {line}")
+    return 0 if agrees(snap, full) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``analyze`` (invariant reports for image files), ``verify``
-(randomized and exhaustive consistency sweeps of the counter machinery),
+(the exhaustive and randomized consistency sweeps of ``pixtopo.verify``),
 ``classify`` (curve predicates for one file) and ``gen`` (seeded test
 objects).  Exit codes: 0 success, 1 a counter inconsistency was detected
-(an implementation alarm, not bad input), 2 input or parse error, 3 usage
-error.
+(an implementation alarm, never caused by input), 2 input or parse error,
+3 usage error, which includes sizes, counts and densities out of range.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ import sys
 from collections import Counter
 from typing import List, Optional
 
+from . import verify
 from .curves import curve_report
-from .generate import GenerationError, SplitMix64, generate_curve, generate_random
+from .generate import GenerationError, generate_curve, generate_random
 from .grid import Adjacency, DigitalObject
-from .incremental import CaseId, Tracker, classify_case
+# bench/spans.py traces cli.classify_case, so the name stays imported here
+from .incremental import CaseId, classify_case
 from .invariants import analyze
 from .io import ParseError, ReportDocument, emit_report, parse_ascii_grid, parse_pbm, to_ascii_grid
 
@@ -86,67 +88,52 @@ def _cmd_classify(args) -> int:
 def _parse_dims(value: str) -> tuple:
     try:
         w, h = value.lower().split("x")
-        return int(w), int(h)
+        dims = int(w), int(h)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected WxH, got {value!r}")
-
-
-def _verify_exhaustive(width: int, height: int) -> int:
-    cells = [(x, y) for y in range(height) for x in range(width)]
-    n = len(cells)
-    failures = 0
-    for mask in range(1 << n):
-        obj = DigitalObject(cells[i] for i in range(n) if mask >> i & 1)
-        report = analyze(obj)
-        if not report.consistent:
-            failures += 1
-            print(f"INCONSISTENT subset mask={mask:#x}: {report}", file=sys.stderr)
-    print(f"exhaustive {width}x{height}: {1 << n} subsets checked, {failures} inconsistent")
-    return failures
+    if min(dims) <= 0:
+        raise argparse.ArgumentTypeError(f"sizes must be positive, got {value!r}")
+    return dims
 
 
 def _cmd_verify(args) -> int:
     width, height = args.grid
+    if args.runs < 0:
+        print(f"verify: --runs {args.runs} is negative", file=sys.stderr)
+        return EXIT_USAGE
     failures = 0
     if args.exhaustive:
         ew, eh = args.exhaustive
         if ew * eh > 16:
             print("exhaustive grid larger than 16 cells is impractical", file=sys.stderr)
             return EXIT_USAGE
-        failures += _verify_exhaustive(ew, eh)
+        for mask, obj in enumerate(verify.grid_subsets(ew, eh)):
+            report = analyze(obj)
+            if not report.consistent:
+                failures += 1
+                print(f"INCONSISTENT subset mask={mask:#x}: {report}", file=sys.stderr)
+        print(f"exhaustive {ew}x{eh}: {1 << ew * eh} subsets checked, {failures} inconsistent")
 
-    rng = SplitMix64(args.seed)
     cases: Counter = Counter()
-    for run in range(args.runs):
-        obj = generate_random(width, height, args.density, seed=rng.next_u64())
-        report = analyze(obj)
-        if not report.consistent:
-            failures += 1
-            print(f"INCONSISTENT random object (run {run}): {report}", file=sys.stderr)
-        # rebuild the same object incrementally, in seeded random order
-        pixels = list(obj)
-        for i in range(len(pixels) - 1, 0, -1):
-            j = rng.below(i + 1)
-            pixels[i], pixels[j] = pixels[j], pixels[i]
-        tracker = Tracker()
-        for pix in pixels:
-            cases[classify_case(tracker.add_pixel(pix))] += 1
-        snap = tracker.snapshot()
-        if (snap.p, snap.v, snap.c0, snap.h, snap.b, snap.t_direct) != (
-            report.p, report.v, report.c0, report.h, report.b, report.t_direct,
-        ):
-            failures += 1
-            print(f"TRACKER MISMATCH (run {run}): {snap} vs {report}", file=sys.stderr)
+    sweep = verify.random_sweep(width, height, args.density, args.seed, args.runs, cases)
+    try:
+        for run, (report, snap) in enumerate(sweep):
+            if not report.consistent:
+                failures += 1
+                print(f"INCONSISTENT random object (run {run}): {report}", file=sys.stderr)
+            if not verify.agrees(snap, report):
+                failures += 1
+                print(f"TRACKER MISMATCH (run {run}): {snap} vs {report}", file=sys.stderr)
+    except ValueError as exc:  # sizes or density that generate_random refuses
+        print(f"verify: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
-    total = sum(cases.values())
     print(f"random sweep: {args.runs} objects on {width}x{height} at density {args.density}")
-    print(f"insertions classified: {total}")
+    print(f"insertions classified: {sum(cases.values())}")
     print("case frequency:")
-    for case in CaseId:
-        if cases[case]:
-            print(f"  {case.value:>9}  {cases[case]:>8}  {cases[case] / total:7.2%}")
-    if cases[CaseId.UNMATCHED]:
-        failures += cases[CaseId.UNMATCHED]
+    for line in verify.case_table(cases):
+        print(f"  {line}")
+    failures += cases[CaseId.UNMATCHED]
     print(f"failures: {failures}")
     return EXIT_OK if failures == 0 else EXIT_INCONSISTENT
 

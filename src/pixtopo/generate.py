@@ -53,6 +53,12 @@ class SplitMix64:
         """Uniform integer in [0, n) via the multiply-shift reduction."""
         return (self.next_u64() * n) >> 64
 
+    def shuffle(self, items: list) -> None:
+        """Fisher-Yates in place: for i = len - 1 down to 1, swap i and below(i + 1)."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
+
 
 def _mix(state: np.ndarray) -> np.ndarray:
     z = state

@@ -12,6 +12,7 @@ inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -88,6 +89,9 @@ def to_ascii_grid(obj: DigitalObject, pixel_char: str = "#", empty_char: str = "
 # PBM
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\n]*")
+_P1_VALID = np.zeros(256, dtype=bool)
+_P1_VALID[list(_WHITESPACE + b"01")] = True
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -120,51 +124,44 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 def parse_pbm(data: bytes) -> DigitalObject:
     """Parse a PBM image, ASCII (P1) or packed binary (P4); bit 1 is a pixel.
 
-    P4 rows are padded to whole bytes, most significant bit first; padding
-    bits and bytes after the raster are ignored, and the object is
-    mask-backed.  Raises ParseError with a byte offset on bad magic,
-    malformed header or a truncated raster.
+    P1 digits may run together or be separated by whitespace and '#'
+    comments.  P4 rows are padded to whole bytes, most significant bit
+    first.  Padding bits and bytes after the raster are ignored, and the
+    object is mask-backed.  Raises ParseError with a byte offset on bad
+    magic, malformed header, an invalid P1 raster byte or a truncated raster.
     """
     magic = data[:2]
     if magic not in (b"P1", b"P4"):
         raise ParseError(f"bad magic {magic!r} at byte 0 (expected P1 or P4)")
     width, pos = _header_int(data, 2, "width")
     height, pos = _header_int(data, pos, "height")
-    pixels = []
     if magic == b"P1":
-        x = y = 0
-        n = len(data)
-        while y < height:
-            if pos >= n:
-                raise ParseError(f"unexpected end of raster at byte {pos}")
-            ch = data[pos : pos + 1]
-            if ch in _WHITESPACE:
-                pos += 1
-            elif ch == b"#":
-                while pos < n and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif ch in (b"0", b"1"):
-                if ch == b"1":
-                    pixels.append((x, y))
-                pos += 1
-                x += 1
-                if x == width:
-                    x = 0
-                    y += 1
-            else:
-                raise ParseError(f"invalid raster character {ch!r} at byte {pos}")
-    else:
-        # single whitespace byte separates the header from the raster
-        if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
-            raise ParseError(f"missing raster separator at byte {pos}")
-        pos += 1
-        row_bytes = (width + 7) // 8
-        if len(data) - pos < row_bytes * height:
+        if height == 0:
+            return DigitalObject()
+        # comments become blanks of the same length, so byte offsets survive
+        blanked = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
+        raster = np.frombuffer(blanked, dtype=np.uint8)
+        digits = np.flatnonzero((raster == ord("0")) | (raster == ord("1")))
+        need = width * height
+        # a 0-width raster never fills a row, so it reads to the end of the data
+        complete = 0 < need <= digits.size
+        valid = _P1_VALID[raster[: digits[need - 1] if complete else raster.size]]
+        if not valid.all():
+            bad = pos + int(np.argmin(valid))
+            raise ParseError(f"invalid raster character {data[bad : bad + 1]!r} at byte {bad}")
+        if not complete:
             raise ParseError(f"unexpected end of raster at byte {len(data)}")
-        raster = np.frombuffer(data, dtype=np.uint8, count=row_bytes * height, offset=pos)
-        rows = raster.reshape(height, row_bytes)
-        return DigitalObject.from_mask(np.unpackbits(rows, axis=1, count=width).view(bool))
-    return DigitalObject(pixels)
+        return DigitalObject.from_mask((raster[digits[:need]] == ord("1")).reshape(height, width))
+    # single whitespace byte separates the header from the raster
+    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
+        raise ParseError(f"missing raster separator at byte {pos}")
+    pos += 1
+    row_bytes = (width + 7) // 8
+    if len(data) - pos < row_bytes * height:
+        raise ParseError(f"unexpected end of raster at byte {len(data)}")
+    raster = np.frombuffer(data, dtype=np.uint8, count=row_bytes * height, offset=pos)
+    rows = raster.reshape(height, row_bytes)
+    return DigitalObject.from_mask(np.unpackbits(rows, axis=1, count=width).view(bool))
 
 
 def to_pbm(obj: DigitalObject, binary: bool = True) -> bytes:

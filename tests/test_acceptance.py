@@ -6,10 +6,9 @@ audits the insertion deltas produced while running criterion 4, so the
 expensive corpora are built once per session.
 """
 
+import functools
 import time
 from collections import Counter
-
-import pytest
 
 from conftest import DIAMOND, DIAGONAL_PAIR, RING8
 from pixtopo import (
@@ -20,7 +19,6 @@ from pixtopo import (
     SplitMix64,
     Tracker,
     analyze,
-    classify_case,
     count_tunnels_direct,
     generate_blockfree,
     generate_curve,
@@ -29,11 +27,7 @@ from pixtopo import (
     is_simple_arc,
     is_simple_closed_curve,
 )
-
-GRID_CELLS_4 = [(x, y) for y in range(4) for x in range(4)]
-GRID_CELLS_3 = [(x, y) for y in range(3) for x in range(3)]
-
-_cache = {}
+from pixtopo.verify import agrees, case_table, grid_subsets, replay
 
 
 def _line(num, ok, text):
@@ -45,86 +39,47 @@ def _line(num, ok, text):
 # ---------------------------------------------------------------------------
 # shared corpora
 
+def _timed_reports(objects):
+    """``analyze`` of each object, and the seconds generation and analysis took."""
+    start = time.perf_counter()
+    reports = [analyze(obj) for obj in objects]
+    return reports, time.perf_counter() - start
+
+
+@functools.cache
 def exhaustive_sweep():
     """Criterion 2 corpus: all subsets of 4x4 (and 3x3 as a smoke suite)."""
-    if "exhaustive" in _cache:
-        return _cache["exhaustive"]
-    start = time.perf_counter()
-    inconsistent = 0
-    biconditional_violations = 0
-    for cells, bits in ((GRID_CELLS_3, 9), (GRID_CELLS_4, 16)):
-        for mask in range(1 << bits):
-            obj = DigitalObject(cells[i] for i in range(bits) if mask >> i & 1)
-            rep = analyze(obj)
-            if not rep.consistent:
-                inconsistent += 1
-            if (rep.t_direct == 0) != (rep.t_formula == 0):
-                biconditional_violations += 1
-    result = {
-        "subsets": (1 << 9) + (1 << 16),
-        "inconsistent": inconsistent,
-        "biconditional_violations": biconditional_violations,
-        "elapsed": time.perf_counter() - start,
-    }
-    _cache["exhaustive"] = result
-    return result
+    return _timed_reports(obj for n in (3, 4) for obj in grid_subsets(n, n))
 
 
+@functools.cache
 def randomized_sweep():
     """Criterion 3 corpus: 10,000 seeded objects, grids up to 20x20."""
-    if "randomized" in _cache:
-        return _cache["randomized"]
-    start = time.perf_counter()
     rng = SplitMix64(20260811)
-    inconsistent = 0
-    biconditional_violations = 0
-    checked = 0
-    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for _ in range(2000):
-            width = 1 + rng.below(20)
-            height = 1 + rng.below(20)
-            obj = generate_random(width, height, density, seed=rng.next_u64())
-            rep = analyze(obj)
-            checked += 1
-            if not rep.consistent:
-                inconsistent += 1
-            if (rep.t_direct == 0) != (rep.t_formula == 0):
-                biconditional_violations += 1
-    result = {
-        "objects": checked,
-        "inconsistent": inconsistent,
-        "biconditional_violations": biconditional_violations,
-        "elapsed": time.perf_counter() - start,
-    }
-    _cache["randomized"] = result
-    return result
+    # draws per object: width, height, then the object's seed
+    return _timed_reports(
+        generate_random(1 + rng.below(20), 1 + rng.below(20), density, seed=rng.next_u64())
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9)
+        for _ in range(2000)
+    )
 
 
+@functools.cache
 def insertion_sweep():
     """Criteria 4/5 corpus: 1,000 seeded insertion sequences, checked stepwise."""
-    if "insertion" in _cache:
-        return _cache["insertion"]
     start = time.perf_counter()
     rng = SplitMix64(5150)
     mismatches = 0
     cases = Counter()
     forbidden = 0
-    insertions = 0
     for _ in range(1000):
         width = 4 + rng.below(17)
         height = 4 + rng.below(17)
         cells = [(x, y) for y in range(height) for x in range(width)]
-        for i in range(len(cells) - 1, 0, -1):
-            j = rng.below(i + 1)
-            cells[i], cells[j] = cells[j], cells[i]
+        rng.shuffle(cells)
         length = min(200, 1 + rng.below(len(cells)))
         tracker = Tracker()
-        inserted = []
-        for pixel in cells[:length]:
-            delta = tracker.add_pixel(pixel)
-            inserted.append(pixel)
-            insertions += 1
-            cases[classify_case(delta)] += 1
+        for step, delta in enumerate(replay(tracker, cells[:length], cases), 1):
             if (
                 delta.db < 0
                 or (delta.dh > 0 and delta.dc > 0)
@@ -132,22 +87,17 @@ def insertion_sweep():
                 or (delta.dh < 0 and delta.dc != 0)
             ):
                 forbidden += 1
-            snap = tracker.snapshot()
-            rep = analyze(DigitalObject(inserted))  # h via fresh flood fill
-            if (snap.p, snap.v, snap.c0, snap.h, snap.b, snap.t_direct) != (
-                rep.p, rep.v, rep.c0, rep.h, rep.b, rep.t_direct,
-            ):
+            rep = analyze(DigitalObject(cells[:step]))  # h via fresh flood fill
+            if not agrees(tracker.snapshot(), rep):
                 mismatches += 1
-    result = {
+    return {
         "sequences": 1000,
-        "insertions": insertions,
+        "insertions": sum(cases.values()),
         "mismatches": mismatches,
         "cases": cases,
         "forbidden": forbidden,
         "elapsed": time.perf_counter() - start,
     }
-    _cache["insertion"] = result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +113,24 @@ def test_criterion_1_base_case():
 
 
 def test_criterion_2_exhaustive_identity():
-    result = exhaustive_sweep()
-    ok = result["inconsistent"] == 0 and result["elapsed"] < 10.0
+    reports, elapsed = exhaustive_sweep()
+    inconsistent = sum(not rep.consistent for rep in reports)
+    ok = inconsistent == 0 and elapsed < 10.0
     _line(
         2,
         ok,
-        f"{result['subsets']} subsets of 3x3+4x4, "
-        f"{result['inconsistent']} inconsistent, {result['elapsed']:.1f}s",
+        f"{len(reports)} subsets of 3x3+4x4, {inconsistent} inconsistent, {elapsed:.1f}s",
     )
 
 
 def test_criterion_3_randomized_identity():
-    result = randomized_sweep()
-    ok = result["inconsistent"] == 0 and result["elapsed"] < 30.0
+    reports, elapsed = randomized_sweep()
+    inconsistent = sum(not rep.consistent for rep in reports)
+    ok = inconsistent == 0 and elapsed < 30.0
     _line(
         3,
         ok,
-        f"{result['objects']} random objects, "
-        f"{result['inconsistent']} inconsistent, {result['elapsed']:.1f}s",
+        f"{len(reports)} random objects, {inconsistent} inconsistent, {elapsed:.1f}s",
     )
 
 
@@ -200,9 +150,8 @@ def test_criterion_5_case_conformance():
     cases = result["cases"]
     total = sum(cases.values())
     print("  insertion case frequency:")
-    for case in CaseId:
-        if cases[case]:
-            print(f"    {case.value:>9}  {cases[case]:>8}  {cases[case] / total:7.2%}")
+    for line in case_table(cases):
+        print(f"    {line}")
     required = {CaseId.C1A, CaseId.C1B, CaseId.C2, CaseId.C3A, CaseId.C6A}
     missing = {c.value for c in required if cases[c] == 0}
     ok = (
@@ -268,14 +217,14 @@ def test_criterion_6_curve_identities():
 
 
 def test_criterion_7_tunnel_freedom_biconditional():
-    ex = exhaustive_sweep()
-    rnd = randomized_sweep()
-    violations = ex["biconditional_violations"] + rnd["biconditional_violations"]
+    ex, _ = exhaustive_sweep()
+    rnd, _ = randomized_sweep()
+    violations = sum((rep.t_direct == 0) != (rep.t_formula == 0) for rep in ex + rnd)
     _line(
         7,
         violations == 0,
-        f"t=0 iff v-2(p+c-h)+b=0 over {ex['subsets']} subsets and "
-        f"{rnd['objects']} random objects, {violations} violations",
+        f"t=0 iff v-2(p+c-h)+b=0 over {len(ex)} subsets and "
+        f"{len(rnd)} random objects, {violations} violations",
     )
 
 

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import pixtopo
-from pixtopo.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from pixtopo import Tracker, cli, invariants
+from pixtopo.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 DIAMOND_TEXT = ".#.\n#.#\n.#.\n"
 
@@ -134,6 +136,84 @@ def test_verify_output_is_pinned(capsys):
     ])
     assert code == EXIT_OK
     assert capsys.readouterr().out == VERIFY_3X3_SEED3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid", "0x5"],
+    ["--grid", "5x0"],
+    ["--exhaustive=2x-1"],
+    ["--exhaustive", "0x3"],
+])
+def test_verify_rejects_bad_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pixtopo verify: error: " in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--runs", "-1"], "--runs -1 is negative"),
+    (["--runs", "1", "--density", "1.5"], "density 1.5 outside [0, 1]"),
+    (["--runs", "1", "--grid", "4000x4000"],
+     "4000x4000 = 16000000 cells exceeds the cap of 10000000"),
+])
+def test_verify_arguments_out_of_range(argv, message, capsys):
+    assert main(["verify", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verify: {message}\n"
+
+
+def test_verify_alarms_on_inconsistent_reports(monkeypatch, capsys):
+    real_analyze = invariants.analyze
+    faked = []
+
+    def inconsistent(obj):
+        rep = real_analyze(obj)
+        faked.append(replace(rep, t_formula=rep.t_direct + 2, consistent=False))
+        return faked[-1]
+
+    monkeypatch.setattr(cli, "analyze", inconsistent)
+    monkeypatch.setattr(invariants, "analyze", inconsistent)
+    code = main(["verify", "--exhaustive", "1x1", "--grid", "3x3", "--runs", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INCONSISTENT
+    assert len(faked) == 4
+    assert captured.err.splitlines() == [
+        f"INCONSISTENT subset mask=0x0: {faked[0]}",
+        f"INCONSISTENT subset mask=0x1: {faked[1]}",
+        f"INCONSISTENT random object (run 0): {faked[2]}",
+        f"INCONSISTENT random object (run 1): {faked[3]}",
+    ]
+    assert captured.out.startswith("exhaustive 1x1: 2 subsets checked, 2 inconsistent\n")
+    assert captured.out.endswith("\nfailures: 4\n")
+
+
+def test_verify_alarms_on_tracker_mismatch(monkeypatch, capsys):
+    real_analyze, real_snapshot = invariants.analyze, Tracker.snapshot
+    reports, snaps = [], []
+
+    def recording(obj):
+        reports.append(real_analyze(obj))
+        return reports[-1]
+
+    def off_by_one(self):
+        snap = real_snapshot(self)
+        snaps.append(replace(snap, b=snap.b + 1))
+        return snaps[-1]
+
+    monkeypatch.setattr(invariants, "analyze", recording)
+    monkeypatch.setattr(Tracker, "snapshot", off_by_one)
+    code = main(["verify", "--grid", "3x3", "--runs", "2", "--seed", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INCONSISTENT
+    assert len(reports) == len(snaps) == 2
+    assert captured.err.splitlines() == [
+        f"TRACKER MISMATCH (run {run}): {snaps[run]} vs {reports[run]}" for run in range(2)
+    ]
+    assert captured.out.endswith("\nfailures: 2\n")
 
 
 def test_gen_deterministic(capsys):

@@ -18,6 +18,7 @@ from pixtopo import (
     to_ascii_grid,
     to_pbm,
 )
+from pixtopo.io import _header_int
 
 grid_objects = st.builds(
     DigitalObject,
@@ -241,6 +242,98 @@ def test_parse_p4_truncated_raster_message(data, end):
     assert len(data) == end
     with pytest.raises(ParseError, match=f"^unexpected end of raster at byte {end}$"):
         parse_pbm(data)
+
+
+# --- P1 decoding against the per-byte loop it replaced -------------------
+
+_P1_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+def _p1_reference(data):
+    """The per-byte P1 raster loop, after the header; pixels or the error text."""
+    width, pos = _header_int(data, 2, "width")
+    height, pos = _header_int(data, pos, "height")
+    pixels = []
+    x = y = 0
+    n = len(data)
+    while y < height:
+        if pos >= n:
+            return f"unexpected end of raster at byte {pos}"
+        ch = data[pos : pos + 1]
+        if ch in _P1_WHITESPACE:
+            pos += 1
+        elif ch == b"#":
+            while pos < n and data[pos : pos + 1] != b"\n":
+                pos += 1
+        elif ch in (b"0", b"1"):
+            if ch == b"1":
+                pixels.append((x, y))
+            pos += 1
+            x += 1
+            if x == width:
+                x = 0
+                y += 1
+        else:
+            return f"invalid raster character {ch!r} at byte {pos}"
+    return set(pixels)
+
+
+def _assert_p1_like_reference(data):
+    try:
+        expected = _p1_reference(data)
+    except ParseError as exc:  # a header error, raised by the shared header parser
+        expected = str(exc)
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as exc:
+            parse_pbm(data)
+        assert str(exc.value) == expected
+    else:
+        obj = parse_pbm(data)
+        assert obj.pixels == expected
+        assert list(obj) == sorted(expected, key=lambda p: (p[1], p[0]))
+
+
+@pytest.mark.parametrize("data", [
+    b"P1\n3 2\n1 0 1\n# 111 a comment\n0 1 0\n",   # comment inside the raster
+    b"P1\n3 2\n1 0#11\n1\n0 1 0\n",                 # comment mid-row, then more digits
+    b"P1 2 2#c\n1 1 1 1",                           # comment right after the header
+    b"P1 4 3 011010011101",                         # digits with no whitespace
+    b"P1\n3 3\n101\n010\n1",                        # truncated raster
+    b"P1\n3 3\n",                                   # header only
+    b"P1 2 2",                                      # no separator, no raster
+    b"P1\n3 2\n101\n0x1\n",                         # invalid byte before the last digit
+    b"P1\n3 2\n101\n011x\xff\n",                    # invalid bytes after the last digit
+    b"P1\n3 2\n101\n011\x00",
+    b"P1\n2 2\n1\xff",
+    b"P1\n0 3\n",                                   # 0-width header
+    b"P1\n0 3\n0 1 1\n",
+    b"P1\n0 2\n01x",
+    b"P1\n4 0\n",                                   # 0-height header
+    b"P1\n4 0\nxyz",
+    b"P1\n0 0\n",
+])
+def test_parse_p1_matches_per_byte_loop(data):
+    _assert_p1_like_reference(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from([b"", b" ", b"\n", b"#c\n", b"\t"]),
+    st.lists(
+        st.sampled_from([b"0", b"1", b"01", b" ", b"\n", b"\r", b"#", b"#1 0\n", b"x", b"\xff"]),
+        max_size=30,
+    ),
+)
+def test_parse_p1_matches_per_byte_loop_property(width, height, separator, body):
+    _assert_p1_like_reference(b"P1 %d %d" % (width, height) + separator + b"".join(body))
+
+
+def test_parse_p1_is_mask_backed():
+    obj = parse_pbm(to_pbm(DigitalObject(DIAMOND), binary=False))
+    assert obj._pixels is None
+    assert obj == DigitalObject(DIAMOND)
 
 
 # --- report emission ---------------------------------------------------------
