@@ -5,7 +5,8 @@ Subcommands: ``analyze`` (invariant reports for image files), ``verify``
 ``classify`` (curve predicates for one file) and ``gen`` (seeded test
 objects).  Exit codes: 0 success, 1 a counter inconsistency was detected
 (an implementation alarm, never caused by input), 2 input or parse error,
-3 usage error, which includes sizes, counts and densities out of range.
+which includes an object too large to rasterize, 3 usage error, which
+includes sizes, counts and densities out of range.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import List, Optional
 
 from . import verify
 from .curves import curve_report
-from .generate import GenerationError, generate_curve, generate_random
+from .generate import GenerationError, check_random_args, generate_curve, generate_random
 from .grid import Adjacency, DigitalObject
 # bench/spans.py traces cli.classify_case, so the name stays imported here
 from .incremental import CaseId, classify_case
@@ -55,16 +56,17 @@ def _cmd_analyze(args) -> int:
     status = EXIT_OK
     outputs = []
     for path in args.files:
+        # ParseError is a ValueError, and so is an object too large to rasterize
         try:
             obj = _read_object(path, args.format)
-        except (OSError, ParseError) as exc:
+            report = analyze(obj)
+            curves = None
+            if args.curve is not None:
+                alpha = Adjacency(args.curve)
+                curves = {alpha: curve_report(obj, alpha)}
+        except (OSError, ValueError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        report = analyze(obj)
-        curves = None
-        if args.curve is not None:
-            alpha = Adjacency(args.curve)
-            curves = {alpha: curve_report(obj, alpha)}
         doc = ReportDocument(source=path, report=report, curves=curves)
         outputs.append(emit_report(doc, "json" if args.json else "text"))
         if not report.consistent:
@@ -74,13 +76,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    alpha = Adjacency(args.adjacency)
+    # ParseError is a ValueError, and so is an object too large to rasterize
     try:
         obj = _read_object(args.file, args.format)
-    except (OSError, ParseError) as exc:
+        report = analyze(obj)
+        curves = {alpha: curve_report(obj, alpha)}
+    except (OSError, ValueError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    alpha = Adjacency(args.adjacency)
-    doc = ReportDocument(source=args.file, report=analyze(obj), curves={alpha: curve_report(obj, alpha)})
+    doc = ReportDocument(source=args.file, report=report, curves=curves)
     print(emit_report(doc, "json" if args.json else "text"))
     return EXIT_OK
 
@@ -101,6 +106,11 @@ def _cmd_verify(args) -> int:
     if args.runs < 0:
         print(f"verify: --runs {args.runs} is negative", file=sys.stderr)
         return EXIT_USAGE
+    try:  # before any sweep runs
+        check_random_args(width, height, args.density)
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     failures = 0
     if args.exhaustive:
         ew, eh = args.exhaustive
@@ -116,17 +126,13 @@ def _cmd_verify(args) -> int:
 
     cases: Counter = Counter()
     sweep = verify.random_sweep(width, height, args.density, args.seed, args.runs, cases)
-    try:
-        for run, (report, snap) in enumerate(sweep):
-            if not report.consistent:
-                failures += 1
-                print(f"INCONSISTENT random object (run {run}): {report}", file=sys.stderr)
-            if not verify.agrees(snap, report):
-                failures += 1
-                print(f"TRACKER MISMATCH (run {run}): {snap} vs {report}", file=sys.stderr)
-    except ValueError as exc:  # sizes or density that generate_random refuses
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for run, (report, snap) in enumerate(sweep):
+        if not report.consistent:
+            failures += 1
+            print(f"INCONSISTENT random object (run {run}): {report}", file=sys.stderr)
+        if not verify.agrees(snap, report):
+            failures += 1
+            print(f"TRACKER MISMATCH (run {run}): {snap} vs {report}", file=sys.stderr)
 
     print(f"random sweep: {args.runs} objects on {width}x{height} at density {args.density}")
     print(f"insertions classified: {sum(cases.values())}")

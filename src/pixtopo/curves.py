@@ -15,8 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
+from . import invariants
 from .grid import Adjacency, DigitalObject
-from .invariants import analyze, count_blocks, count_components
+# bench/spans.py traces curves.count_blocks, so the name stays imported here
+from .invariants import InvariantReport, analyze, count_blocks
 
 MIN_CLOSED_CURVE_SIZE = 4
 
@@ -47,13 +51,18 @@ class CurveVerdict:
 
 
 def _degree_histogram(obj: DigitalObject, alpha: Adjacency) -> Dict[int, int]:
-    pixels = obj.pixels
-    offsets = alpha.offsets
-    hist: Dict[int, int] = {}
-    for x, y in pixels:
-        d = sum((x + dx, y + dy) in pixels for dx, dy in offsets)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
+    """How many pixels have each number of alpha-neighbours in the object.
+
+    Read from the raster: a squeezed gap still keeps non-adjacent pixels
+    apart, so the degrees equal those of the pixels themselves.  The raster
+    is looked up on its module, so wrappers installed there see the call.
+    """
+    mask = invariants.rasterize(obj)
+    m = mask.view(np.uint8)
+    rows, cols = m.shape
+    degree = sum(m[1 + dy : rows - 1 + dy, 1 + dx : cols - 1 + dx] for dx, dy in alpha.offsets)
+    counts = np.bincount(degree[mask[1:-1, 1:-1]])
+    return {d: int(n) for d, n in enumerate(counts) if n}
 
 
 def _is_cycle(hist: Dict[int, int], n: int) -> bool:
@@ -68,11 +77,15 @@ def _is_path(hist: Dict[int, int], n: int) -> bool:
     return hist.get(1, 0) == 2 and hist.get(2, 0) == n - 2 and len(hist) <= 2
 
 
+def _is_general(rep: InvariantReport, alpha: Adjacency) -> bool:
+    """Whether the analyzed object is alpha-connected and free of 2x2 blocks."""
+    components = rep.c0 if alpha is Adjacency.ZERO else rep.c1
+    return rep.b == 0 and components == 1
+
+
 def is_general_curve(obj: DigitalObject, alpha: Adjacency) -> bool:
     """Nonempty, alpha-connected and free of 2x2 blocks."""
-    if not obj:
-        return False
-    return count_blocks(obj) == 0 and count_components(obj, alpha) == 1
+    return _is_general(analyze(obj), alpha)
 
 
 def is_simple_closed_curve(obj: DigitalObject, alpha: Adjacency) -> bool:
@@ -109,15 +122,15 @@ def curve_report(obj: DigitalObject, alpha: Adjacency) -> CurveVerdict:
     can seal a complement cell (h = 1), and then the arc identities, which
     presume h = 0, do not hold even though the degree test passes.
     """
-    general = is_general_curve(obj, alpha)
+    rep = analyze(obj)
+    general = _is_general(rep, alpha)
     closed = arc = False
     checks = []
     if general:
-        hist = _degree_histogram(obj, alpha)
-        closed = _is_cycle(hist, len(obj))
-        arc = _is_path(hist, len(obj))
-        rep = analyze(obj)
         p, v, h, t = rep.p, rep.v, rep.h, rep.t_direct
+        hist = _degree_histogram(obj, alpha)
+        closed = _is_cycle(hist, p)
+        arc = _is_path(hist, p)
         checks.append(("general curve: t = v - 2(p + 1 - h)", t, v - 2 * (p + 1 - h)))
         if t == 0:
             checks.append(("tunnel-free curve: v = 2(p + 1 - h)", v, 2 * (p + 1 - h)))

@@ -67,6 +67,18 @@ def _mix(state: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def check_random_args(
+    width: int, height: int, density: float, cell_cap: int = DEFAULT_CELL_CAP,
+) -> None:
+    """Raise ValueError for arguments that ``generate_random`` refuses."""
+    if width <= 0 or height <= 0:
+        raise ValueError("width and height must be positive")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density {density} outside [0, 1]")
+    if width * height > cell_cap:
+        raise ValueError(f"{width}x{height} = {width * height} cells exceeds the cap of {cell_cap}")
+
+
 def generate_random(
     width: int,
     height: int,
@@ -78,15 +90,11 @@ def generate_random(
 
     Identical (width, height, density, seed) always yield the identical
     object, mask-backed with cell i at row i // width, column i % width.
-    Grids beyond ``cell_cap`` cells are refused.
+    Raises ValueError unless both sizes are positive, density lies in [0, 1]
+    and the grid holds at most ``cell_cap`` cells.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError("width and height must be positive")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density {density} outside [0, 1]")
+    check_random_args(width, height, density, cell_cap)
     cells = width * height
-    if cells > cell_cap:
-        raise ValueError(f"{width}x{height} = {cells} cells exceeds the cap of {cell_cap}")
     threshold = int(density * (1 << 53))
     with np.errstate(over="ignore"):
         states = np.arange(1, cells + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed & _U64)

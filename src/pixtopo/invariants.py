@@ -11,33 +11,32 @@ point.  The counters are tied together by
 which ``analyze`` evaluates alongside the directly counted t as a built-in
 consistency check.
 
-``analyze``, ``count_holes`` and ``has_separating_tunnels`` build the
-bounding box: ``rasterize`` writes the object into a boolean mask over the box
-padded by one empty cell on each side.  v, b and t come from a census of the
-mask's 2x2 windows (Gray 1971), c0 and c1 from labelling the mask, and h from
-labelling its complement.  Memory is proportional to the box area, and these
-three functions raise ValueError once the tight box exceeds
-``MAX_RASTER_CELLS``.  They never build the pixel set of a mask-backed
-object (see ``grid.DigitalObject``): ``rasterize`` copies its mask.
-
-``count_vertices``, ``count_blocks``, ``count_tunnels_direct``,
-``count_components`` and ``is_k_separating`` build no bounding box.  They
-work on per-corner occupancy masks and a union-find over the pixel set, so
-they accept pixels that lie arbitrarily far apart, and they build the pixel
-set of a mask-backed object.
+Every counter reads pixels the same way: ``rasterize`` writes the object
+into a boolean mask padded by one empty cell on each side.  v, b and t come
+from a census of the mask's 2x2 windows (Gray 1971), c0 and c1 from
+labelling the mask, and h from labelling its complement.  In a set-backed
+object every run of two or more fully empty rows or columns is squeezed to
+a single empty line.  That changes no counter: one empty line still keeps
+corners and 8-neighbours apart, and a fully empty line inside the padded box
+belongs to the outer complement region, so no hole touches it (Kong and
+Rosenfeld 1989).  Memory is therefore proportional to the squeezed box, set
+by the number of distinct occupied rows and columns rather than by their
+distance, and every counter raises ValueError once that box exceeds
+``MAX_RASTER_CELLS``.  A mask-backed object (see ``grid.DigitalObject``) is
+copied unsqueezed, and its pixel set is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage as ndi
 
-from .grid import Adjacency, DigitalObject, Pixel
+from .grid import Adjacency, DigitalObject
 
-# Hard ceiling for rasterize, whose memory grows with the bounding box area.
+# Hard ceiling for rasterize, whose memory grows with the area of the squeezed box.
 MAX_RASTER_CELLS = 100_000_000
 
 _STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -74,88 +73,62 @@ EMPTY_REPORT = InvariantReport(0, 0, 0, 0, 0, 0, 0, 0, True)
 
 
 # ---------------------------------------------------------------------------
-# corner-mask and union-find helpers (no bounding box)
+# the raster
 
-def corner_masks(pixels: Iterable[Pixel]) -> Dict[Tuple[int, int], int]:
-    """Map each corner lattice point to its 4-bit pixel-occupancy mask."""
-    masks: Dict[Tuple[int, int], int] = {}
-    get = masks.get
-    for x, y in pixels:
-        x1 = x + 1
-        y1 = y + 1
-        masks[(x, y)] = get((x, y), 0) | 8
-        masks[(x1, y)] = get((x1, y), 0) | 4
-        masks[(x, y1)] = get((x, y1), 0) | 2
-        masks[(x1, y1)] = get((x1, y1), 0) | 1
-    return masks
+def _lines(coords: Iterable[int]) -> Tuple[Dict[int, int], int]:
+    """Mask line of each distinct coordinate along one axis, and the line count.
 
-
-def _union_scan(cells: Iterable[Pixel], preds: Tuple[Pixel, ...]) -> int:
-    """Count connected components of ``cells`` (given in raster order).
-
-    ``preds`` are the neighbor offsets pointing at already-scanned cells, so
-    a single pass with union-find labels everything.
+    Occupied coordinates take lines 1, 2, ... in order; a gap between two of
+    them, whether one empty line or a run of many, becomes one empty line.
     """
-    parent: Dict[Pixel, Pixel] = {}
-    count = 0
-    for p in cells:
-        parent[p] = p
-        count += 1
-        x, y = p
-        for dx, dy in preds:
-            q = (x + dx, y + dy)
-            if q in parent:
-                a = p
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                r = q
-                while parent[r] != r:
-                    parent[r] = parent[parent[r]]
-                    r = parent[r]
-                if a != r:
-                    parent[r] = a
-                    count -= 1
-    return count
+    distinct = sorted(set(coords))
+    lines: Dict[int, int] = {}
+    line, last = 0, distinct[0] - 1
+    for c in distinct:
+        line += 1 if c == last + 1 else 2
+        lines[c] = line
+        last = c
+    return lines, line
 
 
-_PREDS_0 = ((-1, 0), (-1, -1), (0, -1), (1, -1))
-_PREDS_1 = ((-1, 0), (0, -1))
+def rasterize(obj: DigitalObject) -> np.ndarray:
+    """Boolean mask of the object padded by one empty cell per side.
 
-
-def _components_sparse(pixels: FrozenSet[Pixel], adjacency: Adjacency) -> int:
-    if not pixels:
-        return 0
-    order = sorted(pixels, key=lambda p: (p[1], p[0]))
-    preds = _PREDS_1 if adjacency is Adjacency.ONE else _PREDS_0
-    return _union_scan(order, preds)
-
-
-# ---------------------------------------------------------------------------
-# raster helpers (bounding box)
-
-def rasterize(obj: DigitalObject) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Boolean mask over the bounding box padded by one empty cell per side.
-
-    Returns the mask and the (x, y) coordinates of its cell [0, 0]: row index
-    is y - oy, column index is x - ox.  The empty frame makes the improper
-    complement region one connected strip.  A mask-backed object's mask is
-    copied into the padded buffer with one slice assignment, so no pixel
-    tuple is built; a set-backed object is written through flat indices.
-    Raises ValueError when the tight box exceeds MAX_RASTER_CELLS.
+    The one engine: every counter and curve predicate reads pixels only
+    through this mask.  Rows run along y and columns along x, both
+    increasing.  A mask-backed object's mask is copied into the padded
+    buffer with one slice assignment, so no pixel tuple is built.  In a
+    set-backed object every run of two or more fully empty rows or columns
+    becomes one empty line, which leaves every counter unchanged; cells map
+    to pixels by a shift only when no run was squeezed.  Raises ValueError,
+    before allocating the mask, when the squeezed box exceeds
+    MAX_RASTER_CELLS.
     """
-    box = obj.bounding_box()
-    if box is None:
-        return np.zeros((0, 0), dtype=bool), (0, 0)
-    (x0, y0), (x1, y1) = box
-    w = x1 - x0 + 1
-    h = y1 - y0 + 1
-    if w * h > MAX_RASTER_CELLS:
+    if not obj:
+        return np.zeros((0, 0), dtype=bool)
+    if obj._mask is not None:
+        (x0, y0), (x1, y1) = obj.bounding_box()
+        _check_raster_size(x1 - x0 + 1, y1 - y0 + 1)
+        return obj._to_mask((x0 - 1, y0 - 1), (y1 - y0 + 3, x1 - x0 + 3))
+    # two list passes, unlike zip(*pixels), allocate no container per pixel
+    # that the garbage collector would have to count
+    xs = [p[0] for p in obj.pixels]
+    ys = [p[1] for p in obj.pixels]
+    cols, width = _lines(xs)
+    rows, height = _lines(ys)
+    _check_raster_size(width, height)
+    mask = np.zeros((height + 2, width + 2), dtype=bool)
+    n = len(xs)
+    row_of = np.fromiter(map(rows.__getitem__, ys), np.intp, n)
+    mask[row_of, np.fromiter(map(cols.__getitem__, xs), np.intp, n)] = True
+    return mask
+
+
+def _check_raster_size(width: int, height: int) -> None:
+    if width * height > MAX_RASTER_CELLS:
         raise ValueError(
-            f"bounding box {w}x{h} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
+            f"box {width}x{height} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
         )
-    origin = (x0 - 1, y0 - 1)
-    return obj._to_mask(origin, (h + 2, w + 2)), origin
 
 
 def _vbt(mask: np.ndarray) -> Tuple[int, int, int]:
@@ -189,37 +162,33 @@ def count_pixels(obj: DigitalObject) -> int:
 
 def count_vertices(obj: DigitalObject) -> int:
     """Number of distinct lattice points occurring as pixel corners."""
-    return len(corner_masks(obj.pixels))
+    return _vbt(rasterize(obj))[0]
 
 
 def count_blocks(obj: DigitalObject) -> int:
     """Number of complete 2x2 squares of pixels."""
-    masks = corner_masks(obj.pixels)
-    return sum(1 for m in masks.values() if m == _BLOCK_MASK)
+    return _vbt(rasterize(obj))[1]
 
 
 def count_tunnels_direct(obj: DigitalObject) -> int:
     """Number of lattice points incident to exactly one diagonal pixel pair."""
-    masks = corner_masks(obj.pixels)
-    return sum(1 for m in masks.values() if m in _TUNNEL_MASKS)
+    return _vbt(rasterize(obj))[2]
 
 
 def count_components(obj: DigitalObject, adjacency: Adjacency = Adjacency.ZERO) -> int:
     """Number of maximal connected subsets under the given adjacency."""
-    return _components_sparse(obj.pixels, adjacency)
+    return _count_labels(rasterize(obj), _STRUCT8 if adjacency is Adjacency.ZERO else _STRUCT4)
 
 
 def count_holes(obj: DigitalObject) -> int:
     """Number of proper holes: finite 1-components of the complement.
 
-    Flood fill runs over the bounding box inflated by one cell on each side;
-    the single component touching the inflated frame is the improper region
-    and is never counted.
+    The complement is labelled within the padded raster; the single component
+    touching the padding is the improper region and is never counted.
     """
     if not obj:
         return 0
-    mask, _ = rasterize(obj)
-    return _count_labels(~mask, _STRUCT4) - 1
+    return _count_labels(~rasterize(obj), _STRUCT4) - 1
 
 
 def tunnels_by_formula(p: int, v: int, c: int, h: int, b: int) -> int:
@@ -236,7 +205,7 @@ def analyze(obj: DigitalObject) -> InvariantReport:
     p = len(obj)
     if p == 0:
         return EMPTY_REPORT
-    mask, _ = rasterize(obj)
+    mask = rasterize(obj)
     v, b, t = _vbt(mask)
     c0 = _count_labels(mask, _STRUCT8)
     c1 = _count_labels(mask, _STRUCT4)
@@ -257,22 +226,18 @@ def is_k_separating(m: DigitalObject, s: DigitalObject, adjacency: Adjacency) ->
     """
     if not m.pixels <= s.pixels:
         raise ValueError("m must be a subset of s")
-    rest = s.pixels - m.pixels
-    return _components_sparse(frozenset(rest), adjacency) >= 2
+    return count_components(DigitalObject(s.pixels - m.pixels), adjacency) >= 2
 
 
 def has_separating_tunnels(obj: DigitalObject) -> bool:
     """True when some complement regions merge under 0- but not 1-adjacency.
 
-    Computed on the complement within the inflated bounding box: strictly
+    Computed on the complement within the padded raster: strictly
     more 1-components than 0-components means a hole escapes diagonally,
     i.e. the object separates under 1- but not 0-adjacency.  This is the
     region-separation notion of a tunnel; it implies count_tunnels_direct > 0
     but not conversely (a lone diagonal pair has a countable tunnel point yet
     separates nothing).
     """
-    if not obj:
-        return False
-    mask, _ = rasterize(obj)
-    comp = ~mask
+    comp = ~rasterize(obj)
     return _count_labels(comp, _STRUCT4) > _count_labels(comp, _STRUCT8)

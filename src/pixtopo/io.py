@@ -128,13 +128,20 @@ def parse_pbm(data: bytes) -> DigitalObject:
     comments.  P4 rows are padded to whole bytes, most significant bit
     first.  Padding bits and bytes after the raster are ignored, and the
     object is mask-backed.  Raises ParseError with a byte offset on bad
-    magic, malformed header, an invalid P1 raster byte or a truncated raster.
+    magic, malformed header, an invalid P1 raster byte or a truncated raster,
+    and before allocating anything when a side or the area given in the
+    header exceeds MAX_RASTER_CELLS.
     """
     magic = data[:2]
     if magic not in (b"P1", b"P4"):
         raise ParseError(f"bad magic {magic!r} at byte 0 (expected P1 or P4)")
     width, pos = _header_int(data, 2, "width")
     height, pos = _header_int(data, pos, "height")
+    # checked before numpy sees the sizes; either side alone may overflow it
+    if max(width, height, width * height) > MAX_RASTER_CELLS:
+        raise ParseError(
+            f"image {width}x{height} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
+        )
     if magic == b"P1":
         if height == 0:
             return DigitalObject()

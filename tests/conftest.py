@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -44,3 +45,22 @@ def square2():
 @pytest.fixture
 def square3():
     return DigitalObject(SQUARE3)
+
+
+@st.composite
+def stretched(draw, objects):
+    """An object drawn from ``objects``, and a copy of it in which every gap
+    of two or more between occupied coordinates is widened by up to 10^5 and
+    which is shifted by up to 10^6 along each axis."""
+    o = draw(objects)
+    moves = []
+    for axis in (0, 1):
+        coords = sorted({p[axis] for p in o.pixels})
+        extra = draw(st.integers(-10**6, 10**6))
+        move = {}
+        for prev, c in zip([None] + coords, coords):
+            if prev is not None and c - prev >= 2:
+                extra += draw(st.integers(0, 10**5))
+            move[c] = c + extra
+        moves.append(move)
+    return o, DigitalObject((moves[0][x], moves[1][y]) for x, y in o.pixels)

@@ -69,6 +69,41 @@ def test_analyze_missing_file(capsys):
     assert main(["analyze", "/no/such/file"]) == EXIT_INPUT
 
 
+def test_analyze_far_apart_pixels(tmp_path, capsys):
+    # pixels (0, 0) and (20000, 20000): 20,001 lines, about 40 KB
+    path = tmp_path / "far.txt"
+    path.write_text("#\n" + "\n" * 19_999 + "." * 20_000 + "#\n")
+    assert main(["analyze", str(path), "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    counts = {key: payload[key] for key in ("p", "v", "c0", "c1", "h", "b", "t_direct", "t_formula")}
+    assert counts == {"p": 2, "v": 8, "c0": 2, "c1": 2, "h": 0, "b": 0, "t_direct": 0, "t_formula": 0}
+    assert payload["consistent"] is True
+
+
+def test_analyze_oversized_pbm_header(tmp_path, capsys):
+    path = tmp_path / "huge.pbm"
+    path.write_bytes(b"P4\n99999999999999999999 0\n")
+    assert main(["analyze", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}: image 99999999999999999999x0 exceeds the raster limit of 100000000 cells\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{path}"],
+    ["analyze", "{path}", "--curve", "1"],
+    ["classify", "{path}", "--adjacency", "0"],
+])
+def test_objects_over_the_raster_limit_exit_2(argv, diamond_file, monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "MAX_RASTER_CELLS", 8)
+    assert main([arg.format(path=diamond_file) for arg in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{diamond_file}: box 3x3 exceeds the raster limit of 8 cells\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing files
@@ -157,6 +192,10 @@ def test_verify_rejects_bad_arguments(argv, capsys):
     (["--runs", "-1"], "--runs -1 is negative"),
     (["--runs", "1", "--density", "1.5"], "density 1.5 outside [0, 1]"),
     (["--runs", "1", "--grid", "4000x4000"],
+     "4000x4000 = 16000000 cells exceeds the cap of 10000000"),
+    # checked before the exhaustive sweep, and even when no random run is due
+    (["--exhaustive", "3x3", "--density", "2"], "density 2.0 outside [0, 1]"),
+    (["--runs", "0", "--grid", "4000x4000"],
      "4000x4000 = 16000000 cells exceeds the cap of 10000000"),
 ])
 def test_verify_arguments_out_of_range(argv, message, capsys):

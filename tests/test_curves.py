@@ -1,6 +1,9 @@
+from collections import Counter
+
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import DIAMOND, DIAGONAL_PAIR, DOMINO, RING8, SQUARE2
+import oracles
+from conftest import DIAMOND, DIAGONAL_PAIR, DOMINO, RING8, SQUARE2, stretched
 from pixtopo import (
     Adjacency,
     DigitalObject,
@@ -150,6 +153,35 @@ def test_curve_report_flags_match_the_predicates(o, alpha):
         is_simple_arc(o, alpha),
         is_general_curve(o, alpha),
     )
+
+
+def _reference_classes(pixels, alpha):
+    """(closed, arc, general) from the definitions, on the pixel set itself."""
+    n = len(pixels)
+    degrees = Counter(
+        sum((x + dx, y + dy) in pixels for dx, dy in alpha.offsets) for x, y in pixels
+    )
+    general = (
+        n > 0
+        and oracles.blocks(pixels) == 0
+        and oracles.components(pixels, diagonal=alpha is Adjacency.ZERO) == 1
+    )
+    closed = general and n >= 4 and degrees == {2: n}
+    arc = general and (n == 1 or (degrees[1] == 2 and degrees[2] == n - 2 and len(degrees) <= 2))
+    return closed, arc, general
+
+
+@given(stretched(small_objects), adjacencies)
+@example((DigitalObject(RING8), DigitalObject(RING8)), Adjacency.ONE)
+@example((DigitalObject(STAIRCASE), DigitalObject(STAIRCASE)), Adjacency.ZERO)
+@settings(max_examples=300)
+def test_curve_classes_match_the_definitions_far_apart(pair, alpha):
+    o, far = pair
+    verdict = curve_report(far, alpha)
+    assert (verdict.is_simple_closed, verdict.is_simple_arc, verdict.is_general_curve) == (
+        _reference_classes(o.pixels, alpha)
+    )
+    assert verdict == curve_report(o, alpha)
 
 
 @given(small_objects, adjacencies)

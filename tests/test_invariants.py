@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import DIAMOND, DIAGONAL_PAIR, DOMINO, RING8, SQUARE2, SQUARE3
+from conftest import DIAMOND, DIAGONAL_PAIR, DOMINO, RING8, SQUARE2, SQUARE3, stretched
 from pixtopo import (
     Adjacency,
     DigitalObject,
@@ -158,18 +160,43 @@ def test_separating_tunnels_imply_counted_tunnels():
 # --- the raster path ------------------------------------------------------
 
 def test_rasterize_pads_one_empty_cell_per_side():
-    mask, origin = invariants.rasterize(obj([(2, 5), (3, 6)]))
-    assert origin == (1, 4)
-    assert mask.tolist() == [
+    assert invariants.rasterize(obj([(2, 5), (3, 6)])).tolist() == [
         [False, False, False, False],
         [False, True, False, False],
         [False, False, True, False],
         [False, False, False, False],
     ]
+    # a single empty column stays; the run of 99 empty rows becomes one line
+    assert invariants.rasterize(obj([(0, 0), (2, 0), (2, 100)])).astype(int).tolist() == [
+        [0, 0, 0, 0, 0],
+        [0, 1, 0, 1, 0],
+        [0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0],
+    ]
 
 
-@pytest.mark.parametrize("fn", [analyze, count_holes, has_separating_tunnels])
-def test_raster_functions_build_one_bounding_box(fn, monkeypatch):
+# every public function that rasterizes, with its answer on two far-apart pixels
+_FAR = obj([(0, 0), (20_000, 20_000)])
+_COUNTERS = [
+    pytest.param(analyze, invariants.InvariantReport(2, 8, 2, 2, 0, 0, 0, 0, True), id="analyze"),
+    pytest.param(count_holes, 0, id="count_holes"),
+    pytest.param(has_separating_tunnels, False, id="has_separating_tunnels"),
+    pytest.param(count_vertices, 8, id="count_vertices"),
+    pytest.param(count_blocks, 0, id="count_blocks"),
+    pytest.param(count_tunnels_direct, 0, id="count_tunnels_direct"),
+    pytest.param(lambda o: count_components(o, Adjacency.ZERO), 2, id="count_components_0"),
+    pytest.param(lambda o: count_components(o, Adjacency.ONE), 2, id="count_components_1"),
+    pytest.param(is_tunnel_free, True, id="is_tunnel_free"),
+    pytest.param(
+        lambda o: is_k_separating(obj([(0, 0)]), o, Adjacency.ZERO), False, id="is_k_separating",
+    ),
+]
+
+
+# is_k_separating rasterizes a set-backed remainder, whatever its arguments
+@pytest.mark.parametrize("fn, _", _COUNTERS[:-1])
+def test_raster_functions_build_one_bounding_box(fn, _, monkeypatch):
     calls = {"rasterize": 0, "bounding_box": 0}
     rasterize, bounding_box = invariants.rasterize, DigitalObject.bounding_box
 
@@ -181,27 +208,42 @@ def test_raster_functions_build_one_bounding_box(fn, monkeypatch):
         calls["bounding_box"] += 1
         return bounding_box(self)
 
+    mask = np.zeros((3, 3), dtype=bool)
+    for x, y in DIAMOND:
+        mask[y, x] = True
+    set_backed, mask_backed = obj(DIAMOND), DigitalObject.from_mask(mask)
     monkeypatch.setattr(invariants, "rasterize", counted_rasterize)
     monkeypatch.setattr(DigitalObject, "bounding_box", counted_bounding_box)
-    fn(obj(DIAMOND))
-    assert calls == {"rasterize": 1, "bounding_box": 1}
+    # a set-backed object finds its lines in one pass over its pixels, so no
+    # box is computed; a mask-backed one reads the box it already holds
+    fn(set_backed)
+    assert calls == {"rasterize": 1, "bounding_box": 0}
+    fn(mask_backed)
+    assert calls == {"rasterize": 2, "bounding_box": 1}
 
 
-@pytest.mark.parametrize("fn", [analyze, count_holes, has_separating_tunnels])
-def test_raster_functions_refuse_oversized_boxes(fn):
-    far = obj([(0, 0), (20_000, 20_000)])
-    with pytest.raises(ValueError, match="exceeds the raster limit"):
-        fn(far)
-    # the counters that build no raster still answer
-    assert count_components(far, Adjacency.ZERO) == 2
-    assert count_vertices(far) == 8
+@pytest.mark.parametrize("fn, far_answer", _COUNTERS)
+def test_raster_functions_refuse_oversized_boxes(fn, far_answer):
+    # runs of empty lines are squeezed, so distance alone costs nothing
+    assert fn(_FAR) == far_answer
+    # single empty lines are kept: 6000 diagonal pixels spaced by one cell
+    # still span 11999 x 11999 cells, over the limit
+    diagonal = obj([(2 * i, 2 * i) for i in range(6_000)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^box \d+x\d+ exceeds the raster limit"):
+            fn(diagonal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000  # the refused mask would take 144 MB
 
 
 # --- equivalence with the brute-force oracles ------------------------------
 
-def _assert_matches_oracles(o):
+def _assert_matches_oracles(o, pixels=None):
     rep = analyze(o)
-    expected = oracles.report(o.pixels)
+    expected = oracles.report(o.pixels if pixels is None else pixels)
     got = {
         "p": rep.p, "v": rep.v, "c0": rep.c0, "c1": rep.c1, "h": rep.h,
         "b": rep.b, "t_direct": rep.t_direct, "t_formula": rep.t_formula,
@@ -222,17 +264,35 @@ def test_analyze_matches_oracles_on_larger_grids(width, height, density):
     _assert_matches_oracles(generate_random(width, height, density, seed=11))
 
 
-@given(small_objects)
+def _assert_counters_match_oracles(o, pixels):
+    assert count_vertices(o) == oracles.vertices(pixels)
+    assert count_blocks(o) == oracles.blocks(pixels)
+    assert count_tunnels_direct(o) == oracles.tunnels(pixels)
+    assert count_components(o, Adjacency.ZERO) == oracles.components(pixels, diagonal=True)
+    assert count_components(o, Adjacency.ONE) == oracles.components(pixels, diagonal=False)
+    assert count_holes(o) == oracles.holes(pixels)
+
+
+@given(small_objects, st.data())
 @settings(max_examples=300)
-def test_analyze_matches_the_counters_that_build_no_raster(o):
-    rep = analyze(o)
-    assert (rep.v, rep.b, rep.t_direct, rep.c0, rep.c1) == (
-        count_vertices(o),
-        count_blocks(o),
-        count_tunnels_direct(o),
-        count_components(o, Adjacency.ZERO),
-        count_components(o, Adjacency.ONE),
-    )
+def test_counters_match_oracles(o, data):
+    pixels = o.pixels
+    _assert_counters_match_oracles(o, pixels)
+    removed = data.draw(st.sets(st.sampled_from(sorted(pixels))) if pixels else st.just(set()))
+    rest = pixels - removed
+    for alpha, diagonal in ((Adjacency.ZERO, True), (Adjacency.ONE, False)):
+        assert is_k_separating(obj(removed), o, alpha) == (
+            oracles.components(rest, diagonal=diagonal) >= 2
+        )
+
+
+@given(stretched(small_objects))
+@settings(max_examples=300)
+def test_stretched_objects_match_oracles(pair):
+    o, stretched = pair
+    _assert_matches_oracles(stretched, o.pixels)
+    _assert_counters_match_oracles(stretched, o.pixels)
+    assert has_separating_tunnels(stretched) == has_separating_tunnels(o)
 
 
 @given(small_objects)

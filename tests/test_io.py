@@ -179,6 +179,21 @@ def test_writers_refuse_oversized_images(write):
         write(DigitalObject([(0, 0), (20_000, 20_000)]))
 
 
+@pytest.mark.parametrize("header", [
+    b"P4\n99999999999999999999 0\n",
+    b"P4\n0 99999999999999999999\n",
+    b"P4\n10001 10000\n",
+    b"P1\n99999999999999999999 0\n",
+    b"P1\n10001 10000\n",
+])
+def test_parse_pbm_refuses_oversized_headers(header):
+    width, height = header[3:].split()
+    with pytest.raises(ParseError, match=(
+        f"^image {width.decode()}x{height.decode()} exceeds the raster limit of 100000000 cells$"
+    )):
+        parse_pbm(header)
+
+
 def test_writers_on_the_empty_object():
     assert to_pbm(DigitalObject(), binary=True) == b"P4\n0 0\n"
     assert to_pbm(DigitalObject(), binary=False) == b"P1\n0 0\n"
