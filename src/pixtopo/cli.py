@@ -3,10 +3,12 @@
 Subcommands: ``analyze`` (invariant reports for image files), ``verify``
 (the exhaustive and randomized consistency sweeps of ``pixtopo.verify``),
 ``classify`` (curve predicates for one file) and ``gen`` (seeded test
-objects).  Exit codes: 0 success, 1 a counter inconsistency was detected
-(an implementation alarm, never caused by input), 2 input or parse error,
-which includes an object too large to rasterize, 3 usage error, which
-includes sizes, counts and densities out of range.
+objects).  ``classify FILE --adjacency A`` prints the same document as
+``analyze FILE --curve A`` and exits with the same code.  Exit codes: 0
+success, 1 a counter inconsistency was detected (an implementation alarm,
+never caused by input), 2 input or parse error, which includes an object
+too large to rasterize, 3 usage error, which includes sizes, counts and
+densities out of range.
 """
 
 from __future__ import annotations
@@ -52,42 +54,37 @@ def _read_object(path: str, fmt: str) -> DigitalObject:
     return parse_ascii_grid(text)
 
 
-def _cmd_analyze(args) -> int:
+def _report_files(paths: List[str], fmt: str, alpha: Optional[Adjacency], as_json: bool) -> int:
+    """Print one report per file, with its curve verdict when alpha is given."""
     status = EXIT_OK
     outputs = []
-    for path in args.files:
+    for path in paths:
         # ParseError is a ValueError, and so is an object too large to rasterize
         try:
-            obj = _read_object(path, args.format)
-            report = analyze(obj)
-            curves = None
-            if args.curve is not None:
-                alpha = Adjacency(args.curve)
-                curves = {alpha: curve_report(obj, alpha)}
+            obj = _read_object(path, fmt)
+            if alpha is None:
+                report, curves = analyze(obj), None
+            else:
+                verdict = curve_report(obj, alpha)
+                report, curves = verdict.report, {alpha: verdict}
         except (OSError, ValueError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_INPUT
         doc = ReportDocument(source=path, report=report, curves=curves)
-        outputs.append(emit_report(doc, "json" if args.json else "text"))
+        outputs.append(emit_report(doc, "json" if as_json else "text"))
         if not report.consistent:
             status = EXIT_INCONSISTENT
     print("\n".join(outputs))
     return status
 
 
+def _cmd_analyze(args) -> int:
+    alpha = None if args.curve is None else Adjacency(args.curve)
+    return _report_files(args.files, args.format, alpha, args.json)
+
+
 def _cmd_classify(args) -> int:
-    alpha = Adjacency(args.adjacency)
-    # ParseError is a ValueError, and so is an object too large to rasterize
-    try:
-        obj = _read_object(args.file, args.format)
-        report = analyze(obj)
-        curves = {alpha: curve_report(obj, alpha)}
-    except (OSError, ValueError) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    doc = ReportDocument(source=args.file, report=report, curves=curves)
-    print(emit_report(doc, "json" if args.json else "text"))
-    return EXIT_OK
+    return _report_files([args.file], args.format, Adjacency(args.adjacency), args.json)
 
 
 def _parse_dims(value: str) -> tuple:

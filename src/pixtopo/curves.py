@@ -8,6 +8,10 @@ square, and that is precisely the property the identity derivations consume.
 The predicates are operational definitions, and ``curve_report`` re-checks
 the identities numerically instead of assuming them, so a leak in the
 operationalization would surface as a failed check rather than stay hidden.
+
+``curve_report`` is the one classifier: it analyzes the object once, returns
+that report with the verdict, and ``is_general_curve``, ``is_simple_arc``
+and ``is_simple_closed_curve`` are views of its flags.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ class CurveVerdict:
     is_simple_arc: bool
     is_general_curve: bool
     identity_checks: Tuple[IdentityCheck, ...]
+    report: InvariantReport  # the counters the identity checks were evaluated on
 
     @property
     def all_identities_hold(self) -> bool:
@@ -65,53 +70,6 @@ def _degree_histogram(obj: DigitalObject, alpha: Adjacency) -> Dict[int, int]:
     return {d: int(n) for d, n in enumerate(counts) if n}
 
 
-def _is_cycle(hist: Dict[int, int], n: int) -> bool:
-    """Degree test of a simple closed curve with n pixels."""
-    return n >= MIN_CLOSED_CURVE_SIZE and hist == {2: n}
-
-
-def _is_path(hist: Dict[int, int], n: int) -> bool:
-    """Degree test of a simple arc with n pixels."""
-    if n == 1:
-        return True
-    return hist.get(1, 0) == 2 and hist.get(2, 0) == n - 2 and len(hist) <= 2
-
-
-def _is_general(rep: InvariantReport, alpha: Adjacency) -> bool:
-    """Whether the analyzed object is alpha-connected and free of 2x2 blocks."""
-    components = rep.c0 if alpha is Adjacency.ZERO else rep.c1
-    return rep.b == 0 and components == 1
-
-
-def is_general_curve(obj: DigitalObject, alpha: Adjacency) -> bool:
-    """Nonempty, alpha-connected and free of 2x2 blocks."""
-    return _is_general(analyze(obj), alpha)
-
-
-def is_simple_closed_curve(obj: DigitalObject, alpha: Adjacency) -> bool:
-    """A cycle: every pixel has exactly two alpha-neighbors in the object.
-
-    Requires at least 4 pixels; below that a cycle would need some pair to
-    be adjacent twice over.
-    """
-    if len(obj) < MIN_CLOSED_CURVE_SIZE:
-        return False
-    if not is_general_curve(obj, alpha):
-        return False
-    return _is_cycle(_degree_histogram(obj, alpha), len(obj))
-
-
-def is_simple_arc(obj: DigitalObject, alpha: Adjacency) -> bool:
-    """A path: two endpoints of degree one, interior pixels of degree two.
-
-    A single pixel is the degenerate arc; two adjacent pixels are the
-    smallest proper one.
-    """
-    if not is_general_curve(obj, alpha):
-        return False
-    return _is_path(_degree_histogram(obj, alpha), len(obj))
-
-
 def curve_report(obj: DigitalObject, alpha: Adjacency) -> CurveVerdict:
     """Classify the object and evaluate every identity its class implies.
 
@@ -123,14 +81,15 @@ def curve_report(obj: DigitalObject, alpha: Adjacency) -> CurveVerdict:
     presume h = 0, do not hold even though the degree test passes.
     """
     rep = analyze(obj)
-    general = _is_general(rep, alpha)
+    components = rep.c0 if alpha is Adjacency.ZERO else rep.c1
+    general = rep.b == 0 and components == 1
     closed = arc = False
     checks = []
     if general:
         p, v, h, t = rep.p, rep.v, rep.h, rep.t_direct
         hist = _degree_histogram(obj, alpha)
-        closed = _is_cycle(hist, p)
-        arc = _is_path(hist, p)
+        closed = p >= MIN_CLOSED_CURVE_SIZE and hist == {2: p}
+        arc = p == 1 or (hist.get(1, 0) == 2 and hist.get(2, 0) == p - 2 and len(hist) <= 2)
         checks.append(("general curve: t = v - 2(p + 1 - h)", t, v - 2 * (p + 1 - h)))
         if t == 0:
             checks.append(("tunnel-free curve: v = 2(p + 1 - h)", v, 2 * (p + 1 - h)))
@@ -150,4 +109,28 @@ def curve_report(obj: DigitalObject, alpha: Adjacency) -> CurveVerdict:
         identity_checks=tuple(
             IdentityCheck(name, lhs, rhs, lhs == rhs) for name, lhs, rhs in checks
         ),
+        report=rep,
     )
+
+
+def is_general_curve(obj: DigitalObject, alpha: Adjacency) -> bool:
+    """Nonempty, alpha-connected and free of 2x2 blocks."""
+    return curve_report(obj, alpha).is_general_curve
+
+
+def is_simple_closed_curve(obj: DigitalObject, alpha: Adjacency) -> bool:
+    """A cycle: every pixel has exactly two alpha-neighbors in the object.
+
+    Requires at least 4 pixels; below that a cycle would need some pair to
+    be adjacent twice over.
+    """
+    return curve_report(obj, alpha).is_simple_closed
+
+
+def is_simple_arc(obj: DigitalObject, alpha: Adjacency) -> bool:
+    """A path: two endpoints of degree one, interior pixels of degree two.
+
+    A single pixel is the degenerate arc; two adjacent pixels are the
+    smallest proper one.
+    """
+    return curve_report(obj, alpha).is_simple_arc

@@ -69,9 +69,6 @@ class InvariantReport:
     consistent: bool
 
 
-EMPTY_REPORT = InvariantReport(0, 0, 0, 0, 0, 0, 0, 0, True)
-
-
 # ---------------------------------------------------------------------------
 # the raster
 
@@ -105,7 +102,7 @@ def rasterize(obj: DigitalObject) -> np.ndarray:
     MAX_RASTER_CELLS.
     """
     if not obj:
-        return np.zeros((0, 0), dtype=bool)
+        return np.zeros((2, 2), dtype=bool)
     if obj._mask is not None:
         (x0, y0), (x1, y1) = obj.bounding_box()
         _check_raster_size(x1 - x0 + 1, y1 - y0 + 1)
@@ -186,8 +183,6 @@ def count_holes(obj: DigitalObject) -> int:
     The complement is labelled within the padded raster; the single component
     touching the padding is the improper region and is never counted.
     """
-    if not obj:
-        return 0
     return _count_labels(~rasterize(obj), _STRUCT4) - 1
 
 
@@ -203,8 +198,6 @@ def tunnels_by_formula(p: int, v: int, c: int, h: int, b: int) -> int:
 def analyze(obj: DigitalObject) -> InvariantReport:
     """All counters of the object, plus the formula evaluation and verdict."""
     p = len(obj)
-    if p == 0:
-        return EMPTY_REPORT
     mask = rasterize(obj)
     v, b, t = _vbt(mask)
     c0 = _count_labels(mask, _STRUCT8)

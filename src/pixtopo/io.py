@@ -137,8 +137,10 @@ def parse_pbm(data: bytes) -> DigitalObject:
         raise ParseError(f"bad magic {magic!r} at byte 0 (expected P1 or P4)")
     width, pos = _header_int(data, 2, "width")
     height, pos = _header_int(data, pos, "height")
-    # checked before numpy sees the sizes; either side alone may overflow it
-    if max(width, height, width * height) > MAX_RASTER_CELLS:
+    # checked before numpy sees the sizes; either side alone may overflow it,
+    # but a 0-width P1 raster never fills a row, so its height is never used
+    rows = height if width or magic == b"P4" else 0
+    if max(width, rows, width * height) > MAX_RASTER_CELLS:
         raise ParseError(
             f"image {width}x{height} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
         )

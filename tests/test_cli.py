@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import pixtopo
-from pixtopo import Tracker, cli, invariants
+from pixtopo import Tracker, cli, curves, generate_random, invariants, to_pbm
 from pixtopo.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 DIAMOND_TEXT = ".#.\n#.#\n.#.\n"
@@ -117,6 +117,63 @@ def test_classify(diamond_file, capsys):
     assert main(["classify", diamond_file, "--adjacency", "0"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "simple closed curve: True" in out
+
+
+# the diamond, the 8-ring, two pixels 20,000 apart, an empty file and a P4 image
+CLASSIFY_INPUTS = {
+    "diamond.txt": DIAMOND_TEXT.encode(),
+    "ring8.txt": b"###\n#.#\n###\n",
+    "far.txt": ("#\n" + "\n" * 19_999 + "." * 20_000 + "#\n").encode(),
+    "empty.txt": b"",
+    "noise.pbm": to_pbm(generate_random(40, 30, 0.5, 7)),
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("alpha", ["0", "1"])
+@pytest.mark.parametrize("name", sorted(CLASSIFY_INPUTS))
+def test_classify_prints_what_analyze_curve_prints(name, alpha, json_flag, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(CLASSIFY_INPUTS[name])
+    assert main(["classify", str(path), "--adjacency", alpha, *json_flag]) == EXIT_OK
+    classified = capsys.readouterr()
+    assert main(["analyze", str(path), "--curve", alpha, *json_flag]) == EXIT_OK
+    assert capsys.readouterr() == classified
+    assert "curve" in classified.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{path}", "--adjacency", "0"],
+    ["classify", "{path}", "--adjacency", "1", "--json"],
+    ["analyze", "{path}", "--curve", "0"],
+    ["analyze", "{path}", "{path}", "--curve", "1", "--json"],
+])
+def test_curve_commands_analyze_each_file_once(argv, diamond_file, monkeypatch, capsys):
+    real_count_labels = invariants._count_labels
+    calls = []
+
+    def counting(image, structure):
+        calls.append(structure)
+        return real_count_labels(image, structure)
+
+    monkeypatch.setattr(invariants, "_count_labels", counting)
+    assert main([arg.format(path=diamond_file) for arg in argv]) == EXIT_OK
+    assert len(calls) == 3 * argv.count("{path}")  # c0, c1 and h of one analysis
+
+
+def test_classify_alarms_on_inconsistent_reports(diamond_file, monkeypatch, capsys):
+    real_analyze = invariants.analyze
+
+    def inconsistent(obj):
+        rep = real_analyze(obj)
+        return replace(rep, t_formula=rep.t_direct + 2, consistent=False)
+
+    monkeypatch.setattr(curves, "analyze", inconsistent)
+    assert main(["classify", diamond_file, "--adjacency", "0", "--json"]) == EXIT_INCONSISTENT
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["consistent"] is False
+    assert (payload["t_direct"], payload["t_formula"]) == (4, 6)
+    assert payload["curve"]["0"]["is_simple_closed_curve"] is True
 
 
 def test_verify_runs_clean(capsys):

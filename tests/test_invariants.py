@@ -160,6 +160,7 @@ def test_separating_tunnels_imply_counted_tunnels():
 # --- the raster path ------------------------------------------------------
 
 def test_rasterize_pads_one_empty_cell_per_side():
+    assert invariants.rasterize(obj([])).tolist() == [[False, False], [False, False]]
     assert invariants.rasterize(obj([(2, 5), (3, 6)])).tolist() == [
         [False, False, False, False],
         [False, True, False, False],

@@ -345,6 +345,16 @@ def test_parse_p1_matches_per_byte_loop_property(width, height, separator, body)
     _assert_p1_like_reference(b"P1 %d %d" % (width, height) + separator + b"".join(body))
 
 
+@pytest.mark.parametrize("data", [
+    b"P1 0 100010101",           # a height over the raster limit, digits run into it
+    b"P1\n0 999999999\n0 1 1\n",
+    b"P1\n0 999999999\n01x",
+])
+def test_parse_p1_zero_width_never_reaches_the_raster_limit(data):
+    # a 0-width raster never fills a row, so the height allocates nothing
+    _assert_p1_like_reference(data)
+
+
 def test_parse_p1_is_mask_backed():
     obj = parse_pbm(to_pbm(DigitalObject(DIAMOND), binary=False))
     assert obj._pixels is None
