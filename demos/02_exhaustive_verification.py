@@ -13,14 +13,13 @@ import sys
 import time
 from collections import Counter
 
-from pixtopo import analyze
-from pixtopo.verify import agrees, grid_subsets, random_sweep
+from pixtopo.verify import agrees, random_sweep, subset_reports
 
 
 def main() -> int:
     print(__doc__)
     start = time.perf_counter()
-    bad_subsets = sum(not analyze(obj).consistent for obj in grid_subsets(3, 3))
+    bad_subsets = sum(not report.consistent for report in subset_reports(3, 3))
     print(f"exhaustive 3x3 sweep: 512 subsets, {bad_subsets} inconsistent")
     cases = Counter()
     bad_random = 0

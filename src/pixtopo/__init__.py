@@ -19,6 +19,7 @@ from .grid import (
 from .invariants import (
     InvariantReport,
     analyze,
+    analyze_batch,
     count_blocks,
     count_components,
     count_holes,
@@ -83,6 +84,7 @@ __all__ = [
     "Tracker",
     "TrackerCorruptionError",
     "analyze",
+    "analyze_batch",
     "are_adjacent",
     "classify_case",
     "corners",

@@ -114,8 +114,7 @@ def _cmd_verify(args) -> int:
         if ew * eh > 16:
             print("exhaustive grid larger than 16 cells is impractical", file=sys.stderr)
             return EXIT_USAGE
-        for mask, obj in enumerate(verify.grid_subsets(ew, eh)):
-            report = analyze(obj)
+        for mask, report in enumerate(verify.subset_reports(ew, eh)):
             if not report.consistent:
                 failures += 1
                 print(f"INCONSISTENT subset mask={mask:#x}: {report}", file=sys.stderr)

@@ -64,14 +64,22 @@ def are_adjacent(p: Pixel, q: Pixel, adjacency: Adjacency = Adjacency.ZERO) -> b
     return max(dx, dy) == 1
 
 
+def _pixel(x, y) -> Pixel:
+    """(x, y) converted with ``operator.index``, which refuses floats and
+    strings.  A bool is refused too: index(True) is 1, so it would pass."""
+    if x.__class__ is bool or y.__class__ is bool:
+        raise TypeError(f"pixel coordinates must be integers, not bool: ({x!r}, {y!r})")
+    return index(x), index(y)
+
+
 class DigitalObject:
     """A finite set of pixels, the universe of every computation here.
 
     Immutable after construction; safe to share between threads.  Iteration
     is deterministic, sorted by (y, x), so reports built from the same pixels
     always come out identical.  Coordinates must be integers (anything
-    ``operator.index`` accepts, such as numpy integers); floats and strings
-    raise TypeError.
+    ``operator.index`` accepts, such as numpy integers); floats, strings
+    and bools raise TypeError.
 
     An object holds one of two representations.  ``DigitalObject(pixels)``
     holds a frozenset of (x, y) tuples.  ``DigitalObject.from_mask(mask,
@@ -87,7 +95,7 @@ class DigitalObject:
     __slots__ = ("_pixels", "_sorted", "_mask", "_origin")
 
     def __init__(self, pixels: Iterable[Pixel] = ()):
-        self._pixels: Optional[frozenset] = frozenset((index(x), index(y)) for x, y in pixels)
+        self._pixels: Optional[frozenset] = frozenset(_pixel(x, y) for x, y in pixels)
         self._sorted: Optional[Tuple[Pixel, ...]] = None
         self._mask: Optional[np.ndarray] = None
         self._origin: Pixel = (0, 0)
@@ -103,7 +111,8 @@ class DigitalObject:
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError(f"mask must be 2-D, got {mask.ndim}-D")
-        ox, oy = map(index, origin)
+        ox, oy = origin
+        ox, oy = _pixel(ox, oy)
         rows = np.flatnonzero(mask.any(axis=1))
         if rows.size == 0:
             return cls()

@@ -213,9 +213,12 @@ class Tracker:
     def __contains__(self, pixel: object) -> bool:
         if not (isinstance(pixel, tuple) and len(pixel) == 2):
             return False
+        px, py = pixel
+        if px.__class__ is bool or py.__class__ is bool:
+            return False
         try:
-            px = index(pixel[0])
-            py = index(pixel[1])
+            px = index(px)
+            py = index(py)
         except TypeError:
             return False
         # out-of-bound coordinates would alias the key of an in-bound pixel
@@ -237,9 +240,12 @@ class Tracker:
         Work is bounded by the pixel's 8-neighborhood plus union-find cost.
         Inserting a pixel that is already present raises DuplicatePixelError
         and leaves the state untouched; so does a coordinate that is not an
-        integer (TypeError), while numpy integers are stored as ``int``.
+        integer or is a bool (TypeError), while numpy integers are stored as
+        ``int``.
         """
         px, py = pixel
+        if px.__class__ is bool or py.__class__ is bool:
+            raise TypeError(f"pixel coordinates must be integers, not bool: {pixel}")
         px = index(px)
         py = index(py)
         if abs(px) >= COORD_BOUND or abs(py) >= COORD_BOUND:

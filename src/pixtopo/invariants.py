@@ -24,12 +24,19 @@ by the number of distinct occupied rows and columns rather than by their
 distance, and every counter raises ValueError once that box exceeds
 ``MAX_RASTER_CELLS``.  A mask-backed object (see ``grid.DigitalObject``) is
 copied unsqueezed, and its pixel set is never built.
+
+``analyze_batch`` runs the same engine over a stack of masks: it pads every
+slice into one zeroed 3-D buffer, takes the 2x2 census of all slices at once
+and makes three ``ndi.label`` calls for the whole stack, whose structures
+have empty planes along the stack axis so slices never connect.  The
+exhaustive sweeps of ``pixtopo.verify`` go through it; ``analyze`` stays the
+2-D path for a single object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -41,6 +48,10 @@ MAX_RASTER_CELLS = 100_000_000
 
 _STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT8 = np.ones((3, 3), dtype=bool)
+# The same neighbourhoods for a stack of masks: the planes before and after
+# along the stack axis are empty, so no slice connects to its neighbours.
+_STACK4 = np.pad(_STRUCT4[None], ((1, 1), (0, 0), (0, 0)))
+_STACK8 = np.pad(_STRUCT8[None], ((1, 1), (0, 0), (0, 0)))
 
 # Occupancy bits of the four pixel slots around a lattice point, seen from the
 # point: SW=1, SE=2, NW=4, NE=8.  A point is a tunnel iff its mask is one of
@@ -128,20 +139,29 @@ def _check_raster_size(width: int, height: int) -> None:
         )
 
 
-def _vbt(mask: np.ndarray) -> Tuple[int, int, int]:
-    """Vertices, 2x2 blocks and tunnels of a padded mask.
+def _census(mask: np.ndarray, axis: Optional[Tuple[int, int]] = None):
+    """Vertices, 2x2 blocks and tunnels of padded masks along the last two axes.
 
-    Bit-quad census (Gray 1971): each 2x2 window of the mask is the corner
-    mask of the lattice point at its center.  Kept out of ``analyze`` so its
-    temporaries are freed before the labellings allocate theirs.
+    Bit-quad census (Gray 1971): each 2x2 window of a mask is the corner
+    mask of the lattice point at its center.  ``axis=None`` counts over the
+    whole array; ``axis=(1, 2)`` counts per slice of a stack.  Kept out of
+    the analyses so its temporaries are freed before the labellings
+    allocate theirs.
     """
     m = mask.view(np.uint8)
-    pairs = m[:, :-1] + 2 * m[:, 1:]
-    codes = pairs[:-1] + 4 * pairs[1:]
+    pairs = m[..., :-1] + 2 * m[..., 1:]
+    codes = pairs[..., :-1, :] + 4 * pairs[..., 1:, :]
     # count_nonzero, unlike bincount, makes no intp copy of the codes
-    v = np.count_nonzero(codes)
-    b = np.count_nonzero(codes == _BLOCK_MASK)
-    t = np.count_nonzero(codes == _TUNNEL_MASKS[0]) + np.count_nonzero(codes == _TUNNEL_MASKS[1])
+    v = np.count_nonzero(codes, axis=axis)
+    b = np.count_nonzero(codes == _BLOCK_MASK, axis=axis)
+    t = (np.count_nonzero(codes == _TUNNEL_MASKS[0], axis=axis)
+         + np.count_nonzero(codes == _TUNNEL_MASKS[1], axis=axis))
+    return v, b, t
+
+
+def _vbt(mask: np.ndarray) -> Tuple[int, int, int]:
+    """Vertices, 2x2 blocks and tunnels of one padded mask."""
+    v, b, t = _census(mask)
     return int(v), int(b), int(t)
 
 
@@ -205,6 +225,50 @@ def analyze(obj: DigitalObject) -> InvariantReport:
     h = _count_labels(~mask, _STRUCT4) - 1
     tf = tunnels_by_formula(p, v, c0, h, b)
     return InvariantReport(p, v, c0, c1, h, b, t, tf, t == tf)
+
+
+def _stack_counts(stack: np.ndarray, structure: np.ndarray) -> np.ndarray:
+    """Components per slice of a stack, labelled in one call.
+
+    ``ndi.label`` numbers components in scan order and no component spans
+    two slices, so the labels of slice k all exceed those of earlier slices
+    and the running maximum of the per-slice largest label counts the
+    components so far; the running maximum also carries the count across a
+    slice with no component.
+    """
+    labels = ndi.label(stack, structure=structure)[0]
+    top = labels.reshape(len(labels), -1).max(axis=1)
+    return np.diff(np.maximum.accumulate(top), prepend=0)
+
+
+def analyze_batch(masks: np.ndarray) -> List[InvariantReport]:
+    """The report of every slice of an (N, H, W) stack of masks.
+
+    Slice k, read as booleans, is the object whose pixel (col, row) is set
+    where ``masks[k, row, col]`` is, and its report equals ``analyze`` of
+    ``DigitalObject.from_mask(masks[k])``.  The slices are copied into one
+    zeroed (N, H + 2, W + 2) buffer, so each gets its empty border; one
+    census gives v, b and t of every slice and three labellings of the
+    whole stack give c0, c1 and h.  Memory grows with the stack, so callers
+    with many masks hand them over in chunks.  Raises ValueError unless the
+    input is 3-D.
+    """
+    masks = np.asarray(masks)
+    if masks.ndim != 3:
+        raise ValueError(f"masks must be a 3-D stack, got {masks.ndim}-D")
+    n, height, width = masks.shape
+    if n == 0:
+        return []
+    stack = np.zeros((n, height + 2, width + 2), dtype=bool)
+    stack[:, 1:-1, 1:-1] = masks
+    p = np.count_nonzero(stack, axis=(1, 2))
+    v, b, t = _census(stack, axis=(1, 2))
+    c0 = _stack_counts(stack, _STACK8)
+    c1 = _stack_counts(stack, _STACK4)
+    h = _stack_counts(~stack, _STACK4) - 1
+    tf = tunnels_by_formula(p, v, c0, h, b)
+    columns = (p, v, c0, c1, h, b, t, tf, t == tf)
+    return [InvariantReport(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def is_tunnel_free(obj: DigitalObject) -> bool:

@@ -263,7 +263,7 @@ def test_verify_arguments_out_of_range(argv, message, capsys):
 
 
 def test_verify_alarms_on_inconsistent_reports(monkeypatch, capsys):
-    real_analyze = invariants.analyze
+    real_analyze, real_batch = invariants.analyze, invariants.analyze_batch
     faked = []
 
     def inconsistent(obj):
@@ -271,8 +271,17 @@ def test_verify_alarms_on_inconsistent_reports(monkeypatch, capsys):
         faked.append(replace(rep, t_formula=rep.t_direct + 2, consistent=False))
         return faked[-1]
 
+    def inconsistent_batch(masks):
+        reports = [
+            replace(rep, t_formula=rep.t_direct + 2, consistent=False)
+            for rep in real_batch(masks)
+        ]
+        faked.extend(reports)
+        return reports
+
     monkeypatch.setattr(cli, "analyze", inconsistent)
     monkeypatch.setattr(invariants, "analyze", inconsistent)
+    monkeypatch.setattr(invariants, "analyze_batch", inconsistent_batch)
     code = main(["verify", "--exhaustive", "1x1", "--grid", "3x3", "--runs", "2"])
     captured = capsys.readouterr()
     assert code == EXIT_INCONSISTENT
@@ -285,6 +294,34 @@ def test_verify_alarms_on_inconsistent_reports(monkeypatch, capsys):
     ]
     assert captured.out.startswith("exhaustive 1x1: 2 subsets checked, 2 inconsistent\n")
     assert captured.out.endswith("\nfailures: 4\n")
+
+
+def test_exhaustive_verify_runs_on_the_batch_engine(monkeypatch, capsys):
+    # the scalar loop made 4,096 analyze and 12,288 ndi.label calls here
+    real_analyze, real_ndi = invariants.analyze, invariants.ndi
+    calls = {"analyze": 0, "label": 0}
+
+    def counting_analyze(obj):
+        calls["analyze"] += 1
+        return real_analyze(obj)
+
+    class CountingNdi:
+        def __getattr__(self, name):
+            return getattr(real_ndi, name)
+
+        def label(self, *args, **kwargs):
+            calls["label"] += 1
+            return real_ndi.label(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", counting_analyze)
+    monkeypatch.setattr(invariants, "analyze", counting_analyze)
+    monkeypatch.setattr(invariants, "ndi", CountingNdi())
+    assert main(["verify", "--exhaustive", "4x3", "--runs", "0"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        "exhaustive 4x3: 4096 subsets checked, 0 inconsistent\n"
+    )
+    assert calls["analyze"] == 0
+    assert 0 < calls["label"] <= 12
 
 
 def test_verify_alarms_on_tracker_mismatch(monkeypatch, capsys):

@@ -48,6 +48,13 @@ def test_non_integral_coordinates_are_rejected(pixels):
         from_pixels(pixels)
 
 
+@pytest.mark.parametrize("pixels", [[(True, 0), (1, 0)], [(0, False)]])
+def test_bool_coordinates_are_rejected(pixels):
+    # operator.index(True) is 1, so (True, 0) would silently be (1, 0)
+    with pytest.raises(TypeError, match="bool"):
+        DigitalObject(pixels)
+
+
 def test_numpy_integer_coordinates_are_accepted():
     obj = from_pixels([(np.int64(1), np.int32(2)), (np.uint8(0), 0)])
     assert obj == from_pixels([(1, 2), (0, 0)])
@@ -108,6 +115,12 @@ def test_from_mask_rejects_non_2d_masks(shape):
 def test_from_mask_rejects_non_integral_origin():
     with pytest.raises(TypeError):
         DigitalObject.from_mask(np.ones((1, 1), dtype=bool), origin=(0.5, 0))
+
+
+@pytest.mark.parametrize("origin", [(True, 0), (0, False)])
+def test_from_mask_rejects_bool_origin(origin):
+    with pytest.raises(TypeError, match="bool"):
+        DigitalObject.from_mask(np.ones((1, 1), dtype=bool), origin=origin)
 
 
 def test_from_mask_copies_its_input():

@@ -127,6 +127,23 @@ def test_non_integral_pixel_is_rejected_and_state_unchanged(pixel):
     assert tr.as_object() == DigitalObject(DIAMOND)
 
 
+@pytest.mark.parametrize("pixel", [(True, 0), (0, False)])
+def test_bool_pixel_is_rejected_and_state_unchanged(pixel):
+    # operator.index(True) is 1, so (True, 0) would silently insert (1, 0)
+    tr = Tracker(DIAMOND)
+    before = tr.snapshot()
+    with pytest.raises(TypeError, match="bool"):
+        tr.add_pixel(pixel)
+    assert tr.snapshot() == before
+    assert tr.as_object() == DigitalObject(DIAMOND)
+
+
+def test_bool_pixel_is_never_a_member():
+    tr = Tracker([(1, 0), (0, 0)])
+    assert (True, 0) not in tr and (0, False) not in tr and (1.0, 0) not in tr
+    assert (1, 0) in tr and (0, 0) in tr
+
+
 def test_numpy_integer_pixels_are_stored_as_int():
     # far enough out that a numpy int64 key (x * 2**34 + ...) would overflow
     tr = Tracker([(np.int64(2**32), np.int64(-5)), (np.int32(1), np.uint8(2))])

@@ -391,3 +391,73 @@ def test_exhaustive_3x3_smoke():
         o = DigitalObject(cells[i] for i in range(9) if mask >> i & 1)
         rep = analyze(o)
         assert rep.consistent, f"subset {mask:#05x}"
+
+
+# --- the batch engine --------------------------------------------------------
+
+def _slice_pixels(mask):
+    return {(int(col), int(row)) for row, col in np.argwhere(mask)}
+
+
+def _assert_batch_matches(stack):
+    reports = invariants.analyze_batch(stack)
+    assert len(reports) == len(stack)
+    for mask, rep in zip(stack, reports):
+        assert rep == analyze(DigitalObject.from_mask(mask))
+        expected = oracles.report(_slice_pixels(mask))
+        assert {key: getattr(rep, key) for key in expected} == expected
+        assert rep.consistent
+
+
+@st.composite
+def mask_stacks(draw):
+    """An (N, H, W) boolean stack, N <= 12 and H, W <= 8, holding an all-true
+    slice and an all-false slice with a non-empty slice on either side."""
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = st.lists(st.booleans(), min_size=height * width, max_size=height * width)
+
+    def masks(lo, hi):
+        drawn = draw(st.lists(cells, min_size=lo, max_size=hi))
+        return [np.array(m, dtype=bool).reshape(height, width) for m in drawn]
+
+    left, right = masks(0, 4), masks(1, 6)
+    right[0].flat[draw(st.integers(0, height * width - 1))] = True
+    ones = np.ones((height, width), dtype=bool)
+    zeros = np.zeros((height, width), dtype=bool)
+    return np.stack(left + [ones, zeros] + right)
+
+
+@given(mask_stacks())
+@settings(max_examples=200)
+def test_analyze_batch_matches_oracles_and_analyze(stack):
+    _assert_batch_matches(stack)
+
+
+def test_analyze_batch_of_no_masks_is_empty():
+    assert invariants.analyze_batch(np.zeros((0, 3, 4), dtype=bool)) == []
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 4), (2, 5, 0), (1, 0, 0)])
+def test_analyze_batch_of_empty_slices(shape):
+    assert invariants.analyze_batch(np.zeros(shape, dtype=bool)) == [analyze(obj([]))] * shape[0]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 2, 3, 3), (4,)])
+def test_analyze_batch_rejects_non_3d_input(shape):
+    with pytest.raises(ValueError, match="3-D"):
+        invariants.analyze_batch(np.ones(shape, dtype=bool))
+
+
+def test_analyze_batch_reads_integers_as_booleans():
+    stack = np.array([[[2, 0, 0], [0, -1, 0], [0, 0, 7]], [[0, 0, 0], [0, 0, 0], [0, 0, 3]]])
+    reports = invariants.analyze_batch(stack)
+    assert reports == [analyze(DigitalObject.from_mask(mask)) for mask in stack]
+    assert reports == invariants.analyze_batch(stack != 0)
+    assert (reports[0].p, reports[0].c0, reports[0].t_direct) == (3, 1, 2)
+
+
+def test_analyze_batch_returns_plain_ints():
+    (rep,) = invariants.analyze_batch(np.eye(3, dtype=bool)[None])
+    counters = ("p", "v", "c0", "c1", "h", "b", "t_direct", "t_formula")
+    assert all(type(getattr(rep, key)) is int for key in counters)
+    assert type(rep.consistent) is bool

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from pixtopo import DigitalObject, SplitMix64, Tracker, analyze, generate_random
-from pixtopo.verify import agrees, case_table, grid_subsets, random_sweep, replay
+from pixtopo.verify import agrees, case_table, grid_subsets, random_sweep, replay, subset_reports
 from test_cli import VERIFY_3X3_SEED3
 
 
@@ -16,6 +16,16 @@ def test_grid_subsets_in_mask_order(width, height):
         # bit i is cell i, row-major
         expected = {(i % width, i // width) for i in range(width * height) if mask >> i & 1}
         assert obj == DigitalObject(expected)
+
+
+@pytest.mark.parametrize(
+    "width, height",
+    [(1, 1), (2, 1), (1, 3), (3, 2), (2, 3), (3, 3), (4, 3), (12, 1), (1, 12)],
+)
+def test_subset_reports_match_analyze_in_mask_order(width, height):
+    assert list(subset_reports(width, height)) == [
+        analyze(o) for o in grid_subsets(width, height)
+    ]
 
 
 def _inline_shuffle(rng, items):
