@@ -32,6 +32,9 @@ EXIT_INCONSISTENT = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 3
 
+# verify --exhaustive checks 2**cells subsets; 20 cells take seconds on the batch engine
+MAX_EXHAUSTIVE_CELLS = 20
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
@@ -111,8 +114,9 @@ def _cmd_verify(args) -> int:
     failures = 0
     if args.exhaustive:
         ew, eh = args.exhaustive
-        if ew * eh > 16:
-            print("exhaustive grid larger than 16 cells is impractical", file=sys.stderr)
+        if ew * eh > MAX_EXHAUSTIVE_CELLS:
+            print(f"exhaustive grid larger than {MAX_EXHAUSTIVE_CELLS} cells is impractical",
+                  file=sys.stderr)
             return EXIT_USAGE
         for mask, report in enumerate(verify.subset_reports(ew, eh)):
             if not report.consistent:

@@ -27,7 +27,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
-DEFAULT_CELL_CAP = 10_000_000
+RANDOM_CELL_CAP = 10_000_000
 
 
 class GenerationError(RuntimeError):
@@ -67,33 +67,27 @@ def _mix(state: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def check_random_args(
-    width: int, height: int, density: float, cell_cap: int = DEFAULT_CELL_CAP,
-) -> None:
+def check_random_args(width: int, height: int, density: float) -> None:
     """Raise ValueError for arguments that ``generate_random`` refuses."""
     if width <= 0 or height <= 0:
         raise ValueError("width and height must be positive")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density {density} outside [0, 1]")
-    if width * height > cell_cap:
-        raise ValueError(f"{width}x{height} = {width * height} cells exceeds the cap of {cell_cap}")
+    if width * height > RANDOM_CELL_CAP:
+        raise ValueError(
+            f"{width}x{height} = {width * height} cells exceeds the cap of {RANDOM_CELL_CAP}"
+        )
 
 
-def generate_random(
-    width: int,
-    height: int,
-    density: float,
-    seed: int,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> DigitalObject:
+def generate_random(width: int, height: int, density: float, seed: int) -> DigitalObject:
     """Bernoulli-sample a width x height grid with the given pixel density.
 
     Identical (width, height, density, seed) always yield the identical
     object, mask-backed with cell i at row i // width, column i % width.
     Raises ValueError unless both sizes are positive, density lies in [0, 1]
-    and the grid holds at most ``cell_cap`` cells.
+    and the grid holds at most ``RANDOM_CELL_CAP`` cells.
     """
-    check_random_args(width, height, density, cell_cap)
+    check_random_args(width, height, density)
     cells = width * height
     threshold = int(density * (1 << 53))
     with np.errstate(over="ignore"):

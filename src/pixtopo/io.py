@@ -72,8 +72,9 @@ def _writer_mask(obj: DigitalObject) -> np.ndarray:
     return obj._to_mask((x0, y0), (height, width))
 
 
-def to_ascii_grid(obj: DigitalObject, pixel_char: str = "#", empty_char: str = ".") -> str:
-    """Render the object as an ASCII grid (inverse of parse_ascii_grid).
+def to_ascii_grid(obj: DigitalObject) -> str:
+    """Render the object as an ASCII grid, ``#`` for a pixel and ``.`` for an
+    empty cell (inverse of parse_ascii_grid).
 
     When the object lies in the nonnegative quadrant the rendering starts at
     the origin, so parse -> render -> parse is the identity on coordinates;
@@ -81,7 +82,7 @@ def to_ascii_grid(obj: DigitalObject, pixel_char: str = "#", empty_char: str = "
     negative positions).  Raises ValueError when the rendered grid would
     exceed MAX_RASTER_CELLS cells.
     """
-    cells = np.where(_writer_mask(obj), pixel_char, empty_char)
+    cells = np.where(_writer_mask(obj), "#", ".")
     return "\n".join("".join(row) for row in cells.tolist())
 
 

@@ -1,11 +1,11 @@
 """Brute-force sweeps of the identity t = v - 2(p + c - h) + b, shared by
 ``pixtopo verify``, the acceptance suite and the demos.
 
-``grid_subsets`` yields every subset of a small grid as an object, and
-``subset_reports`` yields the report of every subset, analyzed in stacks of
-``SUBSET_CHUNK`` masks by ``invariants.analyze_batch``: one census and three
-labellings per stack instead of per subset.  ``random_sweep`` analyzes
-seeded random objects one at a time and replays each into a Tracker.
+``subset_reports`` yields the report of every subset of a small grid,
+analyzed in stacks of ``SUBSET_CHUNK`` masks by ``invariants.analyze_batch``:
+one census and three labellings per stack instead of per subset.  It is the
+only enumeration of subsets.  ``random_sweep`` analyzes seeded random
+objects one at a time and replays each into a Tracker.
 
 Analysis, generation and case classification are looked up on their modules
 at call time, so wrappers installed on those module attributes see every call.
@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, List, Tuple
 import numpy as np
 
 from . import generate, incremental, invariants
-from .grid import DigitalObject, Pixel
+from .grid import Pixel
 from .incremental import CaseId, InsertionDelta, Tracker
 from .invariants import InvariantReport
 
@@ -32,19 +32,11 @@ _TRACKED = attrgetter("p", "v", "c0", "h", "b", "t_direct")
 SUBSET_CHUNK = 1024
 
 
-def grid_subsets(width: int, height: int) -> Iterator[DigitalObject]:
-    """Every subset of the width x height grid, set-backed, in mask order:
-    subset ``mask`` holds cell i, pixel (i % width, i // width), iff bit i is set."""
-    cells = [(x, y) for y in range(height) for x in range(width)]
-    for mask in range(1 << len(cells)):
-        yield DigitalObject(cell for i, cell in enumerate(cells) if mask >> i & 1)
-
-
 def subset_reports(width: int, height: int) -> Iterator[InvariantReport]:
-    """The report of every subset of the width x height grid, in the mask
-    order of ``grid_subsets``: bit i of the subset's number is cell i,
-    row-major.  The masks are built from the bits of consecutive numbers
-    and analyzed ``SUBSET_CHUNK`` at a time."""
+    """The report of every subset of the width x height grid, in mask order:
+    subset ``mask`` holds cell i, pixel (i % width, i // width), iff bit i of
+    ``mask`` is set.  The masks are built from the bits of consecutive
+    numbers and analyzed ``SUBSET_CHUNK`` at a time."""
     n = width * height
     bits = np.arange(n)
     for start in range(0, 1 << n, SUBSET_CHUNK):

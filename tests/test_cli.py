@@ -262,6 +262,32 @@ def test_verify_arguments_out_of_range(argv, message, capsys):
     assert captured.err == f"verify: {message}\n"
 
 
+def test_verify_refuses_exhaustive_grids_over_the_cell_limit(monkeypatch, capsys):
+    sweeps = []
+    monkeypatch.setattr(pixtopo.verify, "subset_reports", lambda *dims: sweeps.append(dims))
+    assert main(["verify", "--exhaustive", "7x3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "exhaustive grid larger than 20 cells is impractical\n"
+    assert sweeps == []
+
+
+def test_verify_sweeps_exhaustive_grids_at_the_cell_limit(monkeypatch, capsys):
+    # the real 5x4 sweep checks 1,048,576 subsets in seconds; the stub records the call
+    sweeps = []
+
+    def no_subsets(*dims):
+        sweeps.append(dims)
+        return iter(())
+
+    monkeypatch.setattr(pixtopo.verify, "subset_reports", no_subsets)
+    assert main(["verify", "--exhaustive", "5x4", "--runs", "0"]) == EXIT_OK
+    assert sweeps == [(5, 4)]
+    assert capsys.readouterr().out.startswith(
+        "exhaustive 5x4: 1048576 subsets checked, 0 inconsistent\n"
+    )
+
+
 def test_verify_alarms_on_inconsistent_reports(monkeypatch, capsys):
     real_analyze, real_batch = invariants.analyze, invariants.analyze_batch
     faked = []

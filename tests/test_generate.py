@@ -60,7 +60,15 @@ def test_generate_random_validation():
     with pytest.raises(ValueError):
         generate_random(4, 4, 1.5, seed=1)
     with pytest.raises(ValueError, match="exceeds the cap"):
-        generate_random(10_000, 10_000, 0.5, seed=1, cell_cap=10**6)
+        generate_random(10_000, 10_000, 0.5, seed=1)
+
+
+def test_check_random_args_cap_boundary():
+    # checks the sizes only, so neither call allocates a grid
+    generate_module.check_random_args(10_000, 1_000, 0.5)  # exactly the cap
+    message = "^10001x1000 = 10001000 cells exceeds the cap of 10000000$"
+    with pytest.raises(ValueError, match=message):
+        generate_module.check_random_args(10_001, 1_000, 0.5)
 
 
 def test_generate_random_stays_inside_grid():
