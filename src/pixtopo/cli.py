@@ -6,14 +6,16 @@ Subcommands: ``analyze`` (invariant reports for image files), ``verify``
 objects).  ``classify FILE --adjacency A`` prints the same document as
 ``analyze FILE --curve A`` and exits with the same code.  Exit codes: 0
 success, 1 a counter inconsistency was detected (an implementation alarm,
-never caused by input), 2 input or parse error, which includes an object
-too large to rasterize, 3 usage error, which includes sizes, counts and
-densities out of range.
+never caused by input), 2 input/output error, which includes a parse error,
+an object too large to rasterize and an unwritable ``gen -o`` path, 3 usage
+error, which includes sizes, counts, densities and curve steps out of range,
+141 (128 + SIGPIPE) the reader closed stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from typing import List, Optional
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 # verify --exhaustive checks 2**cells subsets; 20 cells take seconds on the batch engine
 MAX_EXHAUSTIVE_CELLS = 20
@@ -43,12 +46,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_object(path: str, fmt: str) -> DigitalObject:
+def _read_object(path: str) -> DigitalObject:
     with open(path, "rb") as fh:
         data = fh.read()
-    if fmt == "auto":
-        fmt = "pbm" if data[:2] in (b"P1", b"P4") else "ascii"
-    if fmt == "pbm":
+    if data[:2] in (b"P1", b"P4"):
         return parse_pbm(data)
     try:
         text = data.decode("utf-8")
@@ -57,14 +58,14 @@ def _read_object(path: str, fmt: str) -> DigitalObject:
     return parse_ascii_grid(text)
 
 
-def _report_files(paths: List[str], fmt: str, alpha: Optional[Adjacency], as_json: bool) -> int:
+def _report_files(paths: List[str], alpha: Optional[Adjacency], as_json: bool) -> int:
     """Print one report per file, with its curve verdict when alpha is given."""
     status = EXIT_OK
     outputs = []
     for path in paths:
         # ParseError is a ValueError, and so is an object too large to rasterize
         try:
-            obj = _read_object(path, fmt)
+            obj = _read_object(path)
             if alpha is None:
                 report, curves = analyze(obj), None
             else:
@@ -83,11 +84,11 @@ def _report_files(paths: List[str], fmt: str, alpha: Optional[Adjacency], as_jso
 
 def _cmd_analyze(args) -> int:
     alpha = None if args.curve is None else Adjacency(args.curve)
-    return _report_files(args.files, args.format, alpha, args.json)
+    return _report_files(args.files, alpha, args.json)
 
 
 def _cmd_classify(args) -> int:
-    return _report_files([args.file], args.format, Adjacency(args.adjacency), args.json)
+    return _report_files([args.file], Adjacency(args.adjacency), args.json)
 
 
 def _parse_dims(value: str) -> tuple:
@@ -156,6 +157,9 @@ def _cmd_gen(args) -> int:
         except GenerationError as exc:
             print(f"gen: {exc}", file=sys.stderr)
             return EXIT_INPUT
+        except ValueError as exc:  # steps out of range
+            print(f"gen: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         width = args.width if args.width is not None else 16
         height = args.height if args.height is not None else 16
@@ -167,8 +171,12 @@ def _cmd_gen(args) -> int:
             return EXIT_USAGE
     grid = to_ascii_grid(obj)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(grid + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(grid + "\n")
+        except OSError as exc:
+            print(f"gen: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         print(grid)
     return EXIT_OK
@@ -180,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="invariant report for image files")
     p_analyze.add_argument("files", nargs="+")
-    p_analyze.add_argument("--format", choices=("ascii", "pbm", "auto"), default="auto")
     p_analyze.add_argument("--json", action="store_true")
     p_analyze.add_argument("--curve", type=int, choices=(0, 1), default=None,
                            help="add curve classification under this adjacency")
@@ -198,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="curve classification for one file")
     p_classify.add_argument("file")
     p_classify.add_argument("--adjacency", type=int, choices=(0, 1), required=True)
-    p_classify.add_argument("--format", choices=("ascii", "pbm", "auto"), default="auto")
     p_classify.add_argument("--json", action="store_true")
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -217,8 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = parser.parse_args(argv)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return status
+    except BrokenPipeError:  # stdout on devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from operator import index
 from typing import Dict, Iterable, NamedTuple, Tuple
 
 from .grid import DigitalObject, Pixel
-from .invariants import InvariantReport, tunnels_by_formula
+from .invariants import _BLOCK_MASK, _TUNNEL_MASKS, InvariantReport, tunnels_by_formula
 
 
 class DuplicatePixelError(ValueError):
@@ -135,8 +135,8 @@ def _corner_gains(slot: int) -> Tuple[int, ...]:
     """Packed (dv, dt + 1, db) for setting ``slot`` in a corner of mask m.
 
     Entry m holds dv | (dt + 1) << 8 | db << 16: the corner is a new vertex
-    when m is empty, a 2x2 square holding one diagonal pair (mask 6 or 9)
-    counts towards t as it appears or disappears, and a full mask is a
+    when m is empty, a 2x2 square holding one diagonal pair (a tunnel mask)
+    counts towards t as it appears or disappears, and the block mask is a
     block.  The sum over a pixel's four corners unpacks with dt offset by
     4; no field can carry into the next, since each stays within 0..8.
     """
@@ -144,14 +144,16 @@ def _corner_gains(slot: int) -> Tuple[int, ...]:
     for m in range(16):
         n = m | slot
         dv = 1 if m == 0 else 0
-        dt = (1 if n in (6, 9) else 0) - (1 if m in (6, 9) else 0)
-        db = 1 if n == 15 else 0
+        dt = (n in _TUNNEL_MASKS) - (m in _TUNNEL_MASKS)
+        db = 1 if n == _BLOCK_MASK else 0
         gains.append(dv | (dt + 1) << 8 | db << 16)
     return tuple(gains)
 
 
 # The pixel occupies slot 8/4/2/1 at its lower-left/lower-right/upper-left/
-# upper-right corner; add_pixel sums one entry of each table per insertion.
+# upper-right corner: the census's SW/SE/NW/NE layout, so a corner mask is the
+# census code at that lattice point and the tables share its tunnel and block
+# masks.  add_pixel sums one entry of each table per insertion.
 _GAIN_LL = _corner_gains(8)
 _GAIN_LR = _corner_gains(4)
 _GAIN_UL = _corner_gains(2)

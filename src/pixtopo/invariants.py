@@ -25,12 +25,11 @@ distance, and every counter raises ValueError once that box exceeds
 ``MAX_RASTER_CELLS``.  A mask-backed object (see ``grid.DigitalObject``) is
 copied unsqueezed, and its pixel set is never built.
 
-``analyze_batch`` runs the same engine over a stack of masks: it pads every
-slice into one zeroed 3-D buffer, takes the 2x2 census of all slices at once
-and makes three ``ndi.label`` calls for the whole stack, whose structures
-have empty planes along the stack axis so slices never connect.  The
-exhaustive sweeps of ``pixtopo.verify`` go through it; ``analyze`` stays the
-2-D path for a single object.
+``analyze_batch`` runs the same engine over a stack of masks: one census of
+all padded slices, then three ``ndi.label`` calls with ``analyze``'s
+structures on the slices laid end to end as one 2-D image, whose padding
+rows keep each slice apart.  The exhaustive sweeps of ``pixtopo.verify`` use
+it; ``analyze`` stays separate, as a stack of one pays for a per-slice census.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ MAX_RASTER_CELLS = 100_000_000
 
 _STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT8 = np.ones((3, 3), dtype=bool)
-# The same neighbourhoods for a stack of masks: the planes before and after
-# along the stack axis are empty, so no slice connects to its neighbours.
-_STACK4 = np.pad(_STRUCT4[None], ((1, 1), (0, 0), (0, 0)))
-_STACK8 = np.pad(_STRUCT8[None], ((1, 1), (0, 0), (0, 0)))
 
 # Occupancy bits of the four pixel slots around a lattice point, seen from the
 # point: SW=1, SE=2, NW=4, NE=8.  A point is a tunnel iff its mask is one of
@@ -227,18 +222,19 @@ def analyze(obj: DigitalObject) -> InvariantReport:
     return InvariantReport(p, v, c0, c1, h, b, t, tf, t == tf)
 
 
-def _stack_counts(stack: np.ndarray, structure: np.ndarray) -> np.ndarray:
-    """Components per slice of a stack, labelled in one call.
+def _stack_counts(stack: np.ndarray, structure: np.ndarray, start: int = 0) -> np.ndarray:
+    """Components per slice of a stack of padded masks, labelled in one call.
 
-    ``ndi.label`` numbers components in scan order and no component spans
-    two slices, so the labels of slice k all exceed those of earlier slices
-    and the running maximum of the per-slice largest label counts the
-    components so far; the running maximum also carries the count across a
-    slice with no component.
+    The slices are laid end to end as one 2-D image, a view of the stack,
+    and their padding rows keep them apart.  ``ndi.label`` numbers in scan
+    order, so the running maximum of the per-slice largest label counts the
+    components so far, also across a slice with none.  ``start`` is the
+    largest label before the first slice: in a complement the outer regions
+    of all slices join through the padding into label 1.
     """
-    labels = ndi.label(stack, structure=structure)[0]
-    top = labels.reshape(len(labels), -1).max(axis=1)
-    return np.diff(np.maximum.accumulate(top), prepend=0)
+    labels = ndi.label(stack.reshape(-1, stack.shape[-1]), structure=structure)[0]
+    top = labels.reshape(len(stack), -1).max(axis=1)
+    return np.diff(np.maximum.accumulate(top), prepend=start)
 
 
 def analyze_batch(masks: np.ndarray) -> List[InvariantReport]:
@@ -248,10 +244,10 @@ def analyze_batch(masks: np.ndarray) -> List[InvariantReport]:
     where ``masks[k, row, col]`` is, and its report equals ``analyze`` of
     ``DigitalObject.from_mask(masks[k])``.  The slices are copied into one
     zeroed (N, H + 2, W + 2) buffer, so each gets its empty border; one
-    census gives v, b and t of every slice and three labellings of the
-    whole stack give c0, c1 and h.  Memory grows with the stack, so callers
-    with many masks hand them over in chunks.  Raises ValueError unless the
-    input is 3-D.
+    census gives v, b and t of every slice, and three labellings of the
+    slices laid end to end, with ``analyze``'s structures, give c0, c1 and
+    h.  Memory grows with the stack, so callers with many masks hand them
+    over in chunks.  Raises ValueError unless the input is 3-D.
     """
     masks = np.asarray(masks)
     if masks.ndim != 3:
@@ -263,9 +259,9 @@ def analyze_batch(masks: np.ndarray) -> List[InvariantReport]:
     stack[:, 1:-1, 1:-1] = masks
     p = np.count_nonzero(stack, axis=(1, 2))
     v, b, t = _census(stack, axis=(1, 2))
-    c0 = _stack_counts(stack, _STACK8)
-    c1 = _stack_counts(stack, _STACK4)
-    h = _stack_counts(~stack, _STACK4) - 1
+    c0 = _stack_counts(stack, _STRUCT8)
+    c1 = _stack_counts(stack, _STRUCT4)
+    h = _stack_counts(~stack, _STRUCT4, start=1)
     tf = tunnels_by_formula(p, v, c0, h, b)
     columns = (p, v, c0, c1, h, b, t, tf, t == tf)
     return [InvariantReport(*row) for row in zip(*(col.tolist() for col in columns))]

@@ -91,28 +91,17 @@ def to_ascii_grid(obj: DigitalObject) -> str:
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*([^ \t\r\n\x0b\x0c#]*)")
 _P1_VALID = np.zeros(256, dtype=bool)
 _P1_VALID[list(_WHITESPACE + b"01")] = True
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Next header token, skipping whitespace and '#' comments."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos : pos + 1]
-        if ch in (b"#",):
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ParseError(f"unexpected end of header at byte {pos}")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    match = _HEADER_TOKEN.match(data, pos)
+    if not match[1]:
+        raise ParseError(f"unexpected end of header at byte {match.start(1)}")
+    return match[1], match.end(1)
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:

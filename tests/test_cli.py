@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,7 +9,9 @@ import pytest
 
 import pixtopo
 from pixtopo import Tracker, cli, curves, generate_random, invariants, to_pbm
-from pixtopo.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from pixtopo.cli import (
+    EXIT_BROKEN_PIPE, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main,
+)
 
 DIAMOND_TEXT = ".#.\n#.#\n.#.\n"
 
@@ -396,6 +399,67 @@ def test_gen_curve_to_file_and_analyze(tmp_path, capsys):
 
 def test_gen_conflicting_options(capsys):
     assert main(["gen", "--curve", "arc", "--width", "5"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("steps", ["0", "20000"])
+def test_gen_curve_steps_out_of_range_is_a_usage_error(steps, capsys):
+    assert main(["gen", "--curve", "arc", "--steps", steps]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gen: steps must be in 1..10000\n"
+
+
+def test_gen_to_an_unwritable_path_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    assert main(["gen", "--width", "3", "--height", "3", "-o", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gen: {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_format_option_is_gone(command, diamond_file, capsys):
+    argv = [command, diamond_file, "--format", "ascii"]
+    if command == "classify":
+        argv += ["--adjacency", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --format ascii" in capsys.readouterr().err
+
+
+def _pixtopo(*argv, **kwargs):
+    # run from the directory holding the imported package, so the child finds
+    # the same pixtopo whether it is installed or not
+    return subprocess.Popen(
+        [sys.executable, "-m", "pixtopo.cli", *argv],
+        cwd=Path(pixtopo.__file__).parents[1], **kwargs,
+    )
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 4 MB of grid, more than a pipe holds: the child blocks in print until
+    # the pipe closes under it
+    child = _pixtopo("gen", "--width", "2000", "--height", "2000",
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(16)
+    child.stdout.close()
+    assert child.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
+def test_pipe_closed_before_the_exit_flush_exits_141_quietly():
+    # buffered stdout holds the whole report until it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    child = _pixtopo("verify", "--exhaustive", "1x1", "--runs", "0",
+                     stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def test_module_entry_point(diamond_file):

@@ -15,7 +15,8 @@ from pixtopo import (
     classify_case,
     generate_random,
 )
-from pixtopo.incremental import COORD_BOUND
+from pixtopo.incremental import _STRIDE, COORD_BOUND
+from pixtopo.invariants import _BLOCK_MASK, _TUNNEL_MASKS, _census, rasterize
 
 pixel_lists = st.lists(
     st.tuples(st.integers(-2, 7), st.integers(-2, 7)), unique=True, max_size=40
@@ -306,3 +307,31 @@ def test_forbidden_transitions_never_occur(pixels):
         assert not (d.dh < 0 and d.dc != 0)
         assert (tr.v + tr.b + tr.t) % 2 == 0
         assert classify_case(d) is not CaseId.UNMATCHED
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.floats(0, 1), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_corner_masks_are_the_census_codes(width, height, density, seed):
+    # the tracker's gain tables use the census's tunnel and block masks, which
+    # is only sound while both read a lattice point's four pixels in one layout
+    obj = generate_random(width, height, density, seed)
+    tr = Tracker(obj)
+    corners = {}
+    for key, value in tr._corners.items():
+        x, rest = divmod(key, _STRIDE)
+        corners[x, rest - COORD_BOUND] = value & 15
+    # window [r, c] of the padded raster is the lattice point (x0 + c, y0 + r)
+    # and holds its SW, SE, NW and NE pixels in bits 1, 2, 4 and 8
+    m = rasterize(obj).astype(int)
+    codes = m[:-1, :-1] + 2 * m[:-1, 1:] + 4 * m[1:, :-1] + 8 * m[1:, 1:]
+    box = obj.bounding_box()
+    x0, y0 = box[0] if box else (0, 0)
+    assert corners == {
+        (x0 + int(c), y0 + int(r)): int(codes[r, c]) for r, c in np.argwhere(codes)
+    }
+    v, b, t = _census(rasterize(obj))
+    assert (v, b, t) == (
+        np.count_nonzero(codes),
+        np.count_nonzero(codes == _BLOCK_MASK),
+        np.count_nonzero(np.isin(codes, _TUNNEL_MASKS)),
+    )
