@@ -9,8 +9,9 @@ The predicates are operational definitions, and ``curve_report`` re-checks
 the identities numerically instead of assuming them, so a leak in the
 operationalization would surface as a failed check rather than stay hidden.
 
-``curve_report`` is the one classifier: it analyzes the object once, returns
-that report with the verdict, and ``is_general_curve``, ``is_simple_arc``
+``curve_report`` is the one classifier: it rasterizes and analyzes the
+object once, reads the degrees from that same raster, returns the report
+with the verdict, and ``is_general_curve``, ``is_simple_arc``
 and ``is_simple_closed_curve`` are views of its flags.
 """
 
@@ -23,8 +24,9 @@ import numpy as np
 
 from . import invariants
 from .grid import Adjacency, DigitalObject
-# bench/spans.py traces curves.count_blocks, so the name stays imported here
-from .invariants import InvariantReport, analyze, count_blocks
+# bench/spans.py traces curves.analyze and curves.count_blocks, so both names
+# stay imported here
+from .invariants import InvariantReport, _analyze_raster, analyze, count_blocks
 
 MIN_CLOSED_CURVE_SIZE = 4
 
@@ -55,14 +57,13 @@ class CurveVerdict:
         return all(check.holds for check in self.identity_checks)
 
 
-def _degree_histogram(obj: DigitalObject, alpha: Adjacency) -> Dict[int, int]:
+def _degree_histogram(mask: np.ndarray, alpha: Adjacency) -> Dict[int, int]:
     """How many pixels have each number of alpha-neighbours in the object.
 
-    Read from the raster: a squeezed gap still keeps non-adjacent pixels
-    apart, so the degrees equal those of the pixels themselves.  The raster
-    is looked up on its module, so wrappers installed there see the call.
+    Read from the object's padded raster ``mask``: a squeezed gap still
+    keeps non-adjacent pixels apart, so the degrees equal those of the
+    pixels themselves.
     """
-    mask = invariants.rasterize(obj)
     m = mask.view(np.uint8)
     rows, cols = m.shape
     degree = sum(m[1 + dy : rows - 1 + dy, 1 + dx : cols - 1 + dx] for dx, dy in alpha.offsets)
@@ -80,14 +81,16 @@ def curve_report(obj: DigitalObject, alpha: Adjacency) -> CurveVerdict:
     can seal a complement cell (h = 1), and then the arc identities, which
     presume h = 0, do not hold even though the degree test passes.
     """
-    rep = analyze(obj)
+    # looked up on its module, so wrappers installed there see the call
+    mask = invariants.rasterize(obj)
+    rep = _analyze_raster(len(obj), mask)
     components = rep.c0 if alpha is Adjacency.ZERO else rep.c1
     general = rep.b == 0 and components == 1
     closed = arc = False
     checks = []
     if general:
         p, v, h, t = rep.p, rep.v, rep.h, rep.t_direct
-        hist = _degree_histogram(obj, alpha)
+        hist = _degree_histogram(mask, alpha)
         closed = p >= MIN_CLOSED_CURVE_SIZE and hist == {2: p}
         arc = p == 1 or (hist.get(1, 0) == 2 and hist.get(2, 0) == p - 2 and len(hist) <= 2)
         checks.append(("general curve: t = v - 2(p + 1 - h)", t, v - 2 * (p + 1 - h)))

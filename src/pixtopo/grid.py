@@ -8,10 +8,11 @@ built on the small vocabulary defined here.
 
 A ``DigitalObject`` holds its pixels either as a frozenset of (x, y) tuples
 or as a read-only boolean mask over its tight bounding box plus the pixel of
-the mask's cell [0, 0] (``DigitalObject.from_mask``).  PBM images (P1 and P4)
-and random objects are mask-backed, so ``analyze`` reads them without ever
-building a Python tuple per pixel; the frozenset is built on first use by
-the operations that need it.
+the mask's cell [0, 0] (``DigitalObject.from_mask``).  PBM images (P1 and P4),
+random objects and ``Tracker.as_object`` results (unless their pixels lie
+far apart) are mask-backed, so ``analyze`` reads them without ever building
+a Python tuple per pixel; the frozenset is built on first use by the
+operations that need it.
 """
 
 from __future__ import annotations

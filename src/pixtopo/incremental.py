@@ -23,8 +23,16 @@ from enum import Enum
 from operator import index
 from typing import Dict, Iterable, NamedTuple, Tuple
 
+import numpy as np
+
 from .grid import DigitalObject, Pixel
-from .invariants import _BLOCK_MASK, _TUNNEL_MASKS, InvariantReport, tunnels_by_formula
+from .invariants import (
+    _BLOCK_MASK,
+    _TUNNEL_MASKS,
+    MAX_RASTER_CELLS,
+    InvariantReport,
+    tunnels_by_formula,
+)
 
 
 class DuplicatePixelError(ValueError):
@@ -183,6 +191,21 @@ def _transition(packed: int, merged: int, pixel: Pixel) -> _Transition:
     return entry
 
 
+def _no_empty_run(offsets: np.ndarray, extent: int, count: int) -> bool:
+    """Whether ``count`` offsets in 0..extent-1 leave no two adjacent lines empty.
+
+    Then ``rasterize`` would squeeze nothing along this axis.  Without such
+    a run every other line at most is empty, so the extent is at most twice
+    the distinct offsets less one; a longer axis fails before any array of
+    its length is made.
+    """
+    if extent > 2 * count - 1:
+        return False
+    empty = np.ones(extent, dtype=bool)
+    empty[offsets] = False
+    return not (empty[:-1] & empty[1:]).any()
+
+
 class Tracker:
     """Grows a digital object pixel by pixel, keeping all counters current.
 
@@ -229,9 +252,42 @@ class Tracker:
         return bool(self._corners.get(px * _STRIDE + py + COORD_BOUND, 0) & 8)
 
     def as_object(self) -> DigitalObject:
-        """The current pixel set as an immutable DigitalObject."""
+        """The current pixel set as an immutable DigitalObject.
+
+        The result is mask-backed (see ``DigitalObject.from_mask``) when every
+        key fits int64, the tight box holds no run of two or more empty rows
+        or columns and its area is within ``MAX_RASTER_CELLS``; ``analyze``
+        then copies the mask once and no pixel tuple is built.  Otherwise it
+        is set-backed: ``rasterize`` can then squeeze the empty runs or
+        refuse the box before allocating it, and keys of coordinates near
+        ``COORD_BOUND``, beyond int64, decode exactly.
+        """
+        keys = self._keys
+        if not keys:
+            return DigitalObject()
+        try:
+            # an explicit dtype, since numpy would read keys past int64 as
+            # float64 and silently merge pixels
+            xs, ys = np.divmod(np.array(keys, dtype=np.int64), _STRIDE)
+        except OverflowError:
+            xs = None
+        if xs is not None:
+            ys -= COORD_BOUND
+            x0, y0 = int(xs.min()), int(ys.min())
+            width = int(xs.max()) - x0 + 1
+            height = int(ys.max()) - y0 + 1
+            xs -= x0
+            ys -= y0
+            if (
+                width * height <= MAX_RASTER_CELLS
+                and _no_empty_run(xs, width, len(keys))
+                and _no_empty_run(ys, height, len(keys))
+            ):
+                mask = np.zeros((height, width), dtype=bool)
+                mask[ys, xs] = True
+                return DigitalObject.from_mask(mask, (x0, y0))
         pairs = []
-        for key in self._keys:
+        for key in keys:
             x, rest = divmod(key, _STRIDE)
             pairs.append((x, rest - COORD_BOUND))
         return DigitalObject(pairs)
@@ -329,11 +385,6 @@ class Tracker:
         self.t += dt
         self.c += dc
         return delta
-
-    def add_pixels(self, coords: Iterable[Pixel]) -> None:
-        """Insert many pixels; raises like add_pixel on the first duplicate."""
-        for pixel in coords:
-            self.add_pixel(pixel)
 
     def derived_holes(self) -> int:
         """Hole count from the counter identity, without any flood fill."""

@@ -212,8 +212,15 @@ def tunnels_by_formula(p: int, v: int, c: int, h: int, b: int) -> int:
 
 def analyze(obj: DigitalObject) -> InvariantReport:
     """All counters of the object, plus the formula evaluation and verdict."""
-    p = len(obj)
-    mask = rasterize(obj)
+    return _analyze_raster(len(obj), rasterize(obj))
+
+
+def _analyze_raster(p: int, mask: np.ndarray) -> InvariantReport:
+    """``analyze`` of an object of p pixels whose padded raster is ``mask``.
+
+    ``curves.curve_report`` calls it too, so the mask it reads degrees from
+    is the one the report was counted on.
+    """
     v, b, t = _vbt(mask)
     c0 = _count_labels(mask, _STRUCT8)
     c1 = _count_labels(mask, _STRUCT4)

@@ -165,13 +165,15 @@ def test_curve_commands_analyze_each_file_once(argv, diamond_file, monkeypatch, 
 
 
 def test_classify_alarms_on_inconsistent_reports(diamond_file, monkeypatch, capsys):
-    real_analyze = invariants.analyze
+    # curve_report counts the object through this helper, on the raster it
+    # also reads the degrees from
+    real_analyze = curves._analyze_raster
 
-    def inconsistent(obj):
-        rep = real_analyze(obj)
+    def inconsistent(p, mask):
+        rep = real_analyze(p, mask)
         return replace(rep, t_formula=rep.t_direct + 2, consistent=False)
 
-    monkeypatch.setattr(curves, "analyze", inconsistent)
+    monkeypatch.setattr(curves, "_analyze_raster", inconsistent)
     assert main(["classify", diamond_file, "--adjacency", "0", "--json"]) == EXIT_INCONSISTENT
     payload = json.loads(capsys.readouterr().out)
     assert payload["consistent"] is False

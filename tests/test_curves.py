@@ -13,6 +13,7 @@ from pixtopo import (
     is_simple_arc,
     is_simple_closed_curve,
 )
+from pixtopo import invariants
 
 STAIRCASE = [(0, 0), (1, 1), (2, 2)]
 # two square rings sharing exactly the pixel (2, 2)
@@ -98,6 +99,21 @@ def test_curve_report_diamond():
     closed = names["simple closed curve: t = v - 2p"]
     assert (closed.lhs, closed.rhs, closed.holds) == (4, 4, True)
     assert verdict.all_identities_hold
+
+
+def test_curve_report_rasterizes_once(monkeypatch):
+    calls = []
+    rasterize = invariants.rasterize
+
+    def counting(obj):
+        calls.append(obj)
+        return rasterize(obj)
+
+    monkeypatch.setattr(invariants, "rasterize", counting)
+    verdict = curve_report(DigitalObject(RING8), Adjacency.ONE)
+    # a general curve: the report and the degree histogram share one raster
+    assert verdict.is_simple_closed and len(calls) == 1
+    assert verdict.report == analyze(DigitalObject(RING8))
 
 
 def test_curve_report_ring8():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,13 @@ from pixtopo import (
     generate_random,
 )
 from pixtopo.incremental import _STRIDE, COORD_BOUND
-from pixtopo.invariants import _BLOCK_MASK, _TUNNEL_MASKS, _census, rasterize
+from pixtopo.invariants import (
+    _BLOCK_MASK,
+    _TUNNEL_MASKS,
+    MAX_RASTER_CELLS,
+    _census,
+    rasterize,
+)
 
 pixel_lists = st.lists(
     st.tuples(st.integers(-2, 7), st.integers(-2, 7)), unique=True, max_size=40
@@ -335,3 +343,128 @@ def test_corner_masks_are_the_census_codes(width, height, density, seed):
         np.count_nonzero(codes == _BLOCK_MASK),
         np.count_nonzero(np.isin(codes, _TUNNEL_MASKS)),
     )
+
+
+# --- as_object ---------------------------------------------------------------
+
+@st.composite
+def compact_blobs(draw):
+    """Pixels in a box of up to 8x8 with every row and column occupied,
+    shifted anywhere in -1000..1000: the mask-backed path."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    pixels = {(x, draw(st.integers(0, height - 1))) for x in range(width)}
+    pixels |= {(draw(st.integers(0, width - 1)), y) for y in range(height)}
+    pixels |= set(draw(st.lists(
+        st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)), max_size=30
+    )))
+    dx, dy = draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+    return [(x + dx, y + dy) for x, y in pixels]
+
+
+@st.composite
+def split_blobs(draw):
+    """Two compact blobs two or more empty lines apart along x, y or both:
+    the set-backed fallback."""
+    first, second = draw(compact_blobs()), draw(compact_blobs())
+    (x0, y0), (x1, y1) = DigitalObject(first).bounding_box()
+    (u0, v0), _ = DigitalObject(second).bounding_box()
+    gap_x, gap_y = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    dx = x1 + draw(st.integers(3, 10**6)) - u0 if gap_x else x0 - u0
+    dy = y1 + draw(st.integers(3, 10**6)) - v0 if gap_y else y0 - v0
+    return first + [(x + dx, y + dy) for x, y in second]
+
+
+tiny_sets = st.one_of(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=2, unique=True),
+    st.lists(
+        st.tuples(
+            st.integers(-COORD_BOUND + 1, COORD_BOUND - 1),
+            st.integers(-COORD_BOUND + 1, COORD_BOUND - 1),
+        ),
+        min_size=1, max_size=2, unique=True,
+    ),
+)
+
+
+def has_empty_run(coords) -> bool:
+    """Whether two occupied coordinates have two or more empty lines between them."""
+    distinct = sorted(set(coords))
+    return any(b - a > 2 for a, b in zip(distinct, distinct[1:]))
+
+
+@given(st.one_of(compact_blobs(), split_blobs(), tiny_sets, pixel_lists), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_as_object_equals_the_replayed_pixels(pixels, rnd):
+    rnd.shuffle(pixels)
+    tr = Tracker(pixels)
+    obj = tr.as_object()
+    fits = all(-2**63 <= x * _STRIDE + y + COORD_BOUND < 2**63 for x, y in pixels)
+    squeezable = has_empty_run(x for x, _ in pixels) or has_empty_run(y for _, y in pixels)
+    assert (obj._mask is not None) == (bool(pixels) and fits and not squeezable)
+    snap = tr.snapshot()
+    rep = analyze(obj)
+    assert (rep.p, rep.v, rep.c0, rep.h, rep.b, rep.t_direct) == (
+        snap.p, snap.v, snap.c0, snap.h, snap.b, snap.t_direct,
+    )
+    expected = DigitalObject(pixels)
+    assert obj == expected and hash(obj) == hash(expected)
+    assert len(obj) == len(expected)
+    assert list(obj) == list(expected)
+    assert obj.bounding_box() == expected.bounding_box()
+
+
+def test_as_object_of_keys_on_both_sides_of_int64():
+    # numpy would read these two keys as float64, where they collide
+    pixels = [(465021186, 0), (465021187, 0)]
+    keys = [x * _STRIDE + y + COORD_BOUND for x, y in pixels]
+    assert keys[0] < 2**63 <= keys[1]
+    obj = Tracker(pixels).as_object()
+    assert obj._mask is None
+    assert obj == DigitalObject(pixels) and list(obj) == pixels
+    assert analyze(obj).consistent and len(obj) == 2
+    # just below the edge the mask path decodes the keys exactly
+    below = [(465021186, 0), (465021186, 1)]
+    obj = Tracker(below).as_object()
+    assert obj._mask is not None and list(obj) == below
+
+
+def test_empty_tracker_gives_the_empty_object():
+    obj = Tracker().as_object()
+    assert obj == DigitalObject() and not obj and len(obj) == 0
+    assert obj.bounding_box() is None and list(obj) == []
+
+
+def test_compact_tracker_object_builds_no_pixel_set():
+    obj = generate_random(40, 25, 1.0, seed=0)
+    pixels = list(obj)
+    np.random.default_rng(3).shuffle(pixels)
+    result = Tracker(pixels).as_object()
+    assert len(result) == 1000 and result.bounding_box() == ((0, 0), (39, 24))
+    assert analyze(result) == analyze(obj)
+    assert result._pixels is None
+    assert result == obj
+
+
+def test_as_object_of_far_apart_pixels_allocates_no_line_array():
+    # two pixels 5 * 10**7 columns apart: the box is within the raster limit,
+    # but the set path squeezes it, and as_object must not mark its columns
+    tr = Tracker([(0, 0), (5 * 10**7, 0)])
+    tracemalloc.start()
+    try:
+        obj = tr.as_object()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obj._mask is None and list(obj) == [(0, 0), (5 * 10**7, 0)]
+    assert peak < 10**6
+
+
+def test_as_object_beyond_the_raster_limit_stays_set_backed():
+    # a diagonal two apart has no empty run, but its box exceeds the limit;
+    # as_object allocates nothing for it and analyze refuses it as before
+    pixels = [(2 * i, 2 * i) for i in range(6000)]
+    assert (2 * 6000 - 1) ** 2 > MAX_RASTER_CELLS
+    obj = Tracker(pixels).as_object()
+    assert obj._mask is None and obj == DigitalObject(pixels)
+    with pytest.raises(ValueError, match="raster limit"):
+        analyze(obj)
