@@ -38,9 +38,29 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage as ndi
 
 from .grid import Adjacency, DigitalObject
+
+
+class _LazyNdimage:
+    """Stands in for ``scipy.ndimage`` until its first attribute read.
+
+    Importing scipy.ndimage takes longer than the rest of the package, and
+    ``gen``, ``--help``, usage errors and Tracker-only use never label.  The
+    first read imports it and caches the attribute on the instance, so later
+    reads of ``ndi.label`` are plain attribute reads.  ``ndi`` stays a module
+    attribute, so a tracer or a test can still replace it.
+    """
+
+    def __getattr__(self, name):
+        from scipy import ndimage
+
+        value = getattr(ndimage, name)
+        setattr(self, name, value)
+        return value
+
+
+ndi = _LazyNdimage()
 
 # Hard ceiling for rasterize, whose memory grows with the area of the squeezed box.
 MAX_RASTER_CELLS = 100_000_000
@@ -127,11 +147,12 @@ def rasterize(obj: DigitalObject) -> np.ndarray:
     return mask
 
 
-def _check_raster_size(width: int, height: int) -> None:
-    if width * height > MAX_RASTER_CELLS:
-        raise ValueError(
-            f"box {width}x{height} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
-        )
+def _check_raster_size(width: int, height: int, count: int = 1) -> None:
+    """Raise ValueError when ``count`` boxes of width x height exceed MAX_RASTER_CELLS."""
+    if count * width * height > MAX_RASTER_CELLS:
+        box = f"{width}x{height}"
+        boxes = f"stack of {count} {box} boxes" if count > 1 else f"box {box}"
+        raise ValueError(f"{boxes} exceeds the raster limit of {MAX_RASTER_CELLS} cells")
 
 
 def _census(mask: np.ndarray, axis: Optional[Tuple[int, int]] = None):
@@ -254,12 +275,14 @@ def analyze_batch(masks: np.ndarray) -> List[InvariantReport]:
     census gives v, b and t of every slice, and three labellings of the
     slices laid end to end, with ``analyze``'s structures, give c0, c1 and
     h.  Memory grows with the stack, so callers with many masks hand them
-    over in chunks.  Raises ValueError unless the input is 3-D.
+    over in chunks.  Raises ValueError unless the input is 3-D, and, before
+    allocating, when N * H * W exceeds MAX_RASTER_CELLS.
     """
     masks = np.asarray(masks)
     if masks.ndim != 3:
         raise ValueError(f"masks must be a 3-D stack, got {masks.ndim}-D")
     n, height, width = masks.shape
+    _check_raster_size(width, height, n)
     if n == 0:
         return []
     stack = np.zeros((n, height + 2, width + 2), dtype=bool)

@@ -464,12 +464,20 @@ def test_pipe_closed_before_the_exit_flush_exits_141_quietly():
     assert err == b""
 
 
-def test_module_entry_point(diamond_file):
+def _analyze_diamond_with_module(module, diamond_file):
     # run from the directory holding the imported package, so the child finds
     # the same pixtopo whether it is installed or not
     result = subprocess.run(
-        [sys.executable, "-m", "pixtopo.cli", "analyze", diamond_file, "--json"],
+        [sys.executable, "-m", module, "analyze", diamond_file, "--json"],
         capture_output=True, text=True, cwd=Path(pixtopo.__file__).parents[1],
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["p"] == 4
+
+
+def test_module_entry_point(diamond_file):
+    _analyze_diamond_with_module("pixtopo.cli", diamond_file)
+
+
+def test_package_entry_point(diamond_file):
+    _analyze_diamond_with_module("pixtopo", diamond_file)

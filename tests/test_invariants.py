@@ -456,6 +456,30 @@ def test_analyze_batch_reads_integers_as_booleans():
     assert (reports[0].p, reports[0].c0, reports[0].t_direct) == (3, 1, 2)
 
 
+def test_analyze_batch_refuses_a_stack_over_the_raster_limit():
+    # a zero-stride view: 100,010,000 cells that take no memory until copied
+    stack = np.broadcast_to(np.zeros((1, 1, 1), dtype=bool), (1, 10_000, 10_001))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^box 10001x10000 exceeds the raster limit"):
+            invariants.analyze_batch(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the padded stack alone would take 100 MB
+
+
+@pytest.mark.parametrize("limit", [24, 23])
+def test_analyze_batch_reads_the_raster_limit_at_call_time(limit, monkeypatch):
+    stack = np.ones((2, 3, 4), dtype=bool)  # 24 cells
+    monkeypatch.setattr(invariants, "MAX_RASTER_CELLS", limit)
+    if limit >= stack.size:
+        assert invariants.analyze_batch(stack) == [analyze(DigitalObject.from_mask(stack[0]))] * 2
+    else:
+        with pytest.raises(ValueError, match="^stack of 2 4x3 boxes exceeds .* of 23 cells"):
+            invariants.analyze_batch(stack)
+
+
 def test_analyze_batch_returns_plain_ints():
     (rep,) = invariants.analyze_batch(np.eye(3, dtype=bool)[None])
     counters = ("p", "v", "c0", "c1", "h", "b", "t_direct", "t_formula")

@@ -18,6 +18,7 @@ from pixtopo import (
     to_ascii_grid,
     to_pbm,
 )
+from pixtopo.invariants import MAX_RASTER_CELLS
 from pixtopo.io import _header_int
 
 grid_objects = st.builds(
@@ -268,6 +269,9 @@ def _p1_reference(data):
     """The per-byte P1 raster loop, after the header; pixels or the error text."""
     width, pos = _header_int(data, 2, "width")
     height, pos = _header_int(data, pos, "height")
+    # the header's size check comes first; a 0-width raster never uses its height
+    if max(width, width * height) > MAX_RASTER_CELLS:
+        return f"image {width}x{height} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
     pixels = []
     x = y = 0
     n = len(data)
@@ -326,6 +330,7 @@ def _assert_p1_like_reference(data):
     b"P1\n4 0\n",                                   # 0-height header
     b"P1\n4 0\nxyz",
     b"P1\n0 0\n",
+    b"P1 1 0100000101",                             # height runs into the digits, over the limit
 ])
 def test_parse_p1_matches_per_byte_loop(data):
     _assert_p1_like_reference(data)
