@@ -9,7 +9,6 @@ incrementally under pixel insertion; and classifies digital curves.
 from .grid import (
     Adjacency,
     DigitalObject,
-    LatticePoint,
     Pixel,
     are_adjacent,
     corners,
@@ -76,7 +75,6 @@ __all__ = [
     "IdentityCheck",
     "InsertionDelta",
     "InvariantReport",
-    "LatticePoint",
     "ParseError",
     "Pixel",
     "ReportDocument",

@@ -29,6 +29,12 @@ _U64 = (1 << 64) - 1
 
 RANDOM_CELL_CAP = 10_000_000
 
+# Swap indices SplitMix64.shuffle draws per numpy call: a few hundred kilobytes
+# of temporaries however long the list.
+_SHUFFLE_BLOCK = 1 << 16
+_U32_SHIFT = np.uint64(32)
+_U32_MASK = np.uint64((1 << 32) - 1)
+
 
 class GenerationError(RuntimeError):
     """Curve generation gave up after its rejection budget; retry a new seed."""
@@ -54,10 +60,30 @@ class SplitMix64:
         return (self.next_u64() * n) >> 64
 
     def shuffle(self, items: list) -> None:
-        """Fisher-Yates in place: for i = len - 1 down to 1, swap i and below(i + 1)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """Fisher-Yates in place: for i = len - 1 down to 1, swap i and below(i + 1).
+
+        The swap indices are drawn with numpy, ``_SHUFFLE_BLOCK`` at a time,
+        and leave the stream where len - 1 calls of ``below`` would.  Each
+        product z * (i + 1) >> 64 is formed from z's 32-bit halves, which is
+        exact only while i + 1 < 2**32, so ``items`` must be shorter than
+        2**32.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        s = np.uint64(self._state)
+        for k0 in range(1, n, _SHUFFLE_BLOCK):
+            # draw k uses the state k steps on and picks j for i = n - k
+            k1 = min(k0 + _SHUFFLE_BLOCK, n)
+            k = np.arange(k0, k1, dtype=np.uint64)
+            bound = np.uint64(n + 1) - k
+            with np.errstate(over="ignore"):
+                z = _mix(k * np.uint64(_GAMMA) + s)
+            hi, lo = z >> _U32_SHIFT, z & _U32_MASK
+            swaps = (hi * bound + (lo * bound >> _U32_SHIFT)) >> _U32_SHIFT
+            for i, j in zip(range(n - k0, n - k1, -1), swaps.tolist()):
+                items[i], items[j] = items[j], items[i]
+        self._state = (self._state + (n - 1) * _GAMMA) & _U64
 
 
 def _mix(state: np.ndarray) -> np.ndarray:

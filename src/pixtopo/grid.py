@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 Pixel = Tuple[int, int]
-LatticePoint = Tuple[int, int]
 
 # Neighbor offsets, fixed order (E, NE, N, NW, W, SW, S, SE).
 OFFSETS_8: Tuple[Pixel, ...] = (

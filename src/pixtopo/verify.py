@@ -4,8 +4,9 @@
 ``subset_reports`` yields the report of every subset of a small grid,
 analyzed in stacks of ``SUBSET_CHUNK`` masks by ``invariants.analyze_batch``:
 one census and three labellings per stack instead of per subset.  It is the
-only enumeration of subsets.  ``random_sweep`` analyzes seeded random
-objects one at a time and replays each into a Tracker.
+only enumeration of subsets.  ``random_sweep`` replays each seeded random
+object into a Tracker, one pixel at a time, and analyzes the objects in
+stacks by the same batch engine.
 
 Analysis, generation and case classification are looked up on their modules
 at call time, so wrappers installed on those module attributes see every call.
@@ -31,6 +32,10 @@ _TRACKED = attrgetter("p", "v", "c0", "h", "b", "t_direct")
 # stay a few hundred kilobytes.
 SUBSET_CHUNK = 1024
 
+# Cells per stack in random_sweep: analyze_batch's labels take four bytes a
+# cell, so a stack of large grids stays a few megabytes.
+SWEEP_STACK_CELLS = 1 << 20
+
 
 def subset_reports(width: int, height: int) -> Iterator[InvariantReport]:
     """The report of every subset of the width x height grid, in mask order:
@@ -46,11 +51,21 @@ def subset_reports(width: int, height: int) -> Iterator[InvariantReport]:
 
 
 def replay(tracker: Tracker, pixels: Iterable[Pixel], cases: Counter) -> Iterator[InsertionDelta]:
-    """Insert pixels into the tracker in order; count each delta's case, then yield it."""
-    for pixel in pixels:
-        delta = tracker.add_pixel(pixel)
-        cases[incremental.classify_case(delta)] += 1
-        yield delta
+    """Insert pixels into the tracker in order and yield each insertion's delta.
+
+    The cases are added to ``cases`` when the replay ends, after the last
+    pixel is in (or when it is closed or raises): a run repeats a few dozen
+    distinct deltas, so each is classified once, with its count.
+    """
+    deltas: Counter = Counter()
+    try:
+        for pixel in pixels:
+            delta = tracker.add_pixel(pixel)
+            deltas[delta] += 1
+            yield delta
+    finally:
+        for delta, count in deltas.items():
+            cases[incremental.classify_case(delta)] += count
 
 
 def agrees(snapshot: InvariantReport, report: InvariantReport) -> bool:
@@ -61,20 +76,28 @@ def agrees(snapshot: InvariantReport, report: InvariantReport) -> bool:
 def random_sweep(
     width: int, height: int, density: float, seed: int, runs: int, cases: Counter,
 ) -> Iterator[Tuple[InvariantReport, InvariantReport]]:
-    """Per run, the report of a ``generate_random(width, height, density)``
-    object and the snapshot of a Tracker that replayed its pixels shuffled;
-    one SplitMix64 stream seeded with ``seed`` draws each object's seed, then
-    its shuffle.  Raises ValueError for arguments generate_random refuses."""
+    """Per run, in run order, the report of a ``generate_random(width, height,
+    density)`` object and the snapshot of a Tracker that replayed its pixels
+    shuffled; one SplitMix64 stream seeded with ``seed`` draws each object's
+    seed, then its shuffle.  The objects are analyzed by ``analyze_batch``
+    in stacks of at most ``SUBSET_CHUNK`` runs and ``SWEEP_STACK_CELLS``
+    cells, or of one run when a grid is larger; a stack keeps each run's
+    mask and snapshot until it is analyzed.  Raises ValueError for
+    arguments generate_random refuses."""
     rng = generate.SplitMix64(seed)
-    for _ in range(runs):
-        obj = generate.generate_random(width, height, density, seed=rng.next_u64())
-        report = invariants.analyze(obj)
-        pixels = list(obj)
-        rng.shuffle(pixels)
-        tracker = Tracker()
-        for _ in replay(tracker, pixels, cases):
-            pass
-        yield report, tracker.snapshot()
+    per_stack = max(1, min(SUBSET_CHUNK, SWEEP_STACK_CELLS // max(1, width * height)))
+    for start in range(0, runs, per_stack):
+        masks, snapshots = [], []
+        for _ in range(min(per_stack, runs - start)):
+            obj = generate.generate_random(width, height, density, seed=rng.next_u64())
+            masks.append(obj._to_mask((0, 0), (height, width)))
+            pixels = list(obj)
+            rng.shuffle(pixels)
+            tracker = Tracker()
+            for _ in replay(tracker, pixels, cases):
+                pass
+            snapshots.append(tracker.snapshot())
+        yield from zip(invariants.analyze_batch(np.stack(masks)), snapshots)
 
 
 def case_table(cases: Counter) -> List[str]:

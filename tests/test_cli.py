@@ -235,6 +235,49 @@ def test_verify_output_is_pinned(capsys):
     assert capsys.readouterr().out == VERIFY_3X3_SEED3
 
 
+# The benchmark's verify operation; it checks only three of these lines.
+VERIFY_4X3_48X48_SEED12345 = "\n".join([
+    "exhaustive 4x3: 4096 subsets checked, 0 inconsistent",
+    "random sweep: 24 objects on 48x48 at density 0.5",
+    "insertions classified: 27654",
+    "case frequency:",
+    "         1a      5113   18.49%",
+    "         1b      3043   11.00%",
+    "         1c      1656    5.99%",
+    "         1d       770    2.78%",
+    "          2      6356   22.98%",
+    "         3a      4754   17.19%",
+    "         3b       323    1.17%",
+    "         3c         3    0.01%",
+    "          4        47    0.17%",
+    "         5a      2050    7.41%",
+    "         5b       332    1.20%",
+    "         5c        17    0.06%",
+    "         6a       920    3.33%",
+    "         6b       848    3.07%",
+    "         6c       334    1.21%",
+    "          7       261    0.94%",
+    "         8a       103    0.37%",
+    "         8b       106    0.38%",
+    "         8c        56    0.20%",
+    "         8d         4    0.01%",
+    "          9       153    0.55%",
+    "        10a       383    1.38%",
+    "        10b        11    0.04%",
+    "        10c        11    0.04%",
+    "failures: 0",
+]) + "\n"
+
+
+def test_benchmark_verify_output_is_pinned(capsys):
+    code = main([
+        "verify", "--exhaustive", "4x3", "--grid", "48x48", "--density", "0.5",
+        "--runs", "24", "--seed", "12345",
+    ])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == VERIFY_4X3_48X48_SEED12345
+
+
 @pytest.mark.parametrize("argv", [
     ["--grid", "0x5"],
     ["--grid", "5x0"],
@@ -355,20 +398,47 @@ def test_exhaustive_verify_runs_on_the_batch_engine(monkeypatch, capsys):
     assert 0 < calls["label"] <= 12
 
 
+def test_random_verify_runs_on_the_batch_engine(monkeypatch, capsys):
+    # the per-object loop made 24 analyze and 72 ndi.label calls here
+    real_analyze, real_ndi = invariants.analyze, invariants.ndi
+    calls = {"analyze": 0, "label": 0}
+
+    def counting_analyze(obj):
+        calls["analyze"] += 1
+        return real_analyze(obj)
+
+    class CountingNdi:
+        def __getattr__(self, name):
+            return getattr(real_ndi, name)
+
+        def label(self, *args, **kwargs):
+            calls["label"] += 1
+            return real_ndi.label(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", counting_analyze)
+    monkeypatch.setattr(invariants, "analyze", counting_analyze)
+    monkeypatch.setattr(invariants, "ndi", CountingNdi())
+    assert main(["verify", "--grid", "48x48", "--runs", "24"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("\nfailures: 0\n")
+    assert calls["analyze"] == 0
+    assert 0 < calls["label"] <= 3
+
+
 def test_verify_alarms_on_tracker_mismatch(monkeypatch, capsys):
-    real_analyze, real_snapshot = invariants.analyze, Tracker.snapshot
+    real_batch, real_snapshot = invariants.analyze_batch, Tracker.snapshot
     reports, snaps = [], []
 
-    def recording(obj):
-        reports.append(real_analyze(obj))
-        return reports[-1]
+    def recording(masks):
+        batch = real_batch(masks)
+        reports.extend(batch)
+        return batch
 
     def off_by_one(self):
         snap = real_snapshot(self)
         snaps.append(replace(snap, b=snap.b + 1))
         return snaps[-1]
 
-    monkeypatch.setattr(invariants, "analyze", recording)
+    monkeypatch.setattr(invariants, "analyze_batch", recording)
     monkeypatch.setattr(Tracker, "snapshot", off_by_one)
     code = main(["verify", "--grid", "3x3", "--runs", "2", "--seed", "4"])
     captured = capsys.readouterr()

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from pixtopo import DigitalObject, SplitMix64, Tracker, analyze, generate_random
-from pixtopo.verify import agrees, case_table, random_sweep, replay, subset_reports
+from pixtopo import DigitalObject, SplitMix64, Tracker, analyze, generate_random, incremental
+from pixtopo.generate import _SHUFFLE_BLOCK
+from pixtopo.verify import (
+    SUBSET_CHUNK, agrees, case_table, random_sweep, replay, subset_reports,
+)
 from test_cli import VERIFY_3X3_SEED3
 
 
@@ -29,8 +32,8 @@ def _inline_shuffle(rng, items):
         items[i], items[j] = items[j], items[i]
 
 
-@pytest.mark.parametrize("seed", [0, 3, 5150, 2**64 - 1])
-@pytest.mark.parametrize("length", [0, 1, 50])
+@pytest.mark.parametrize("seed", [0, 3, 5150, 2**64 - 1, 2**64 - 3 * 0x9E3779B97F4A7C15])
+@pytest.mark.parametrize("length", [0, 1, 2, 50, 1151, _SHUFFLE_BLOCK + 3])
 def test_shuffle_matches_the_inline_loop(seed, length):
     items, expected = list(range(length)), list(range(length))
     rng, reference = SplitMix64(seed), SplitMix64(seed)
@@ -46,6 +49,40 @@ def test_replay_tallies_every_insertion():
     deltas = list(replay(tracker, obj, cases))
     assert len(deltas) == len(obj) == sum(cases.values())
     assert agrees(tracker.snapshot(), analyze(obj))
+
+
+def test_replay_classifies_each_distinct_delta_once(monkeypatch):
+    real_classify, classified = incremental.classify_case, []
+
+    def recording(delta):
+        classified.append(delta)
+        return real_classify(delta)
+
+    monkeypatch.setattr(incremental, "classify_case", recording)
+    obj = generate_random(30, 30, 0.5, seed=7)
+    cases = Counter()
+    deltas = list(replay(Tracker(), obj, cases))
+    assert sorted(classified) == sorted(set(deltas))
+    assert sum(cases.values()) == len(obj)
+    assert cases == Counter(real_classify(delta) for delta in deltas)
+
+
+def test_random_sweep_stacks_match_the_inline_loop():
+    # more runs than one stack holds, so two analyze_batch stacks are yielded
+    runs, cases = SUBSET_CHUNK + 5, Counter()
+    swept = list(random_sweep(3, 2, 0.5, 9, runs, cases))
+    rng, expected, inserted = SplitMix64(9), [], 0
+    for _ in range(runs):
+        obj = generate_random(3, 2, 0.5, seed=rng.next_u64())
+        pixels = list(obj)
+        rng.shuffle(pixels)
+        tracker = Tracker()
+        for pixel in pixels:
+            tracker.add_pixel(pixel)
+        expected.append((analyze(obj), tracker.snapshot()))
+        inserted += len(pixels)
+    assert swept == expected
+    assert sum(cases.values()) == inserted
 
 
 def test_agrees_compares_the_tracked_counters():
