@@ -1,8 +1,9 @@
 """Incremental maintenance of the counters under single-pixel insertion.
 
 A Tracker keeps (p, v, b, t, c) current with constant local work per inserted
-pixel: the four corners of the new pixel are re-examined through a corner
-occupancy map, and component bookkeeping runs over an insert-only union-find.
+pixel: the four corners of the new pixel are re-examined in dense 8x8 pages
+of lattice points, which hold each corner's occupancy mask and component id,
+and component bookkeeping runs over an insert-only union-find of components.
 The hole count is never flood-filled; it is derived from the rearranged
 counter identity
 
@@ -19,6 +20,7 @@ for the update itself.
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
 from operator import index
 from typing import Dict, Iterable, NamedTuple, Tuple
@@ -127,16 +129,36 @@ def classify_case(delta: InsertionDelta) -> CaseId:
     return _SIGNATURES.get(signature, CaseId.UNMATCHED)
 
 
-# Tracker coordinates are packed into one integer, x * _STRIDE + (y + 2**33),
-# so corner-map and union-find keys avoid tuple hashing on the hot path.  An
-# int hashes to itself, and a dict starts probing at the hash's low bits; a
-# stride of exactly 2**34 would leave those bits to y alone, so every pixel
-# of a row would start at the same slot, and lookups on a 1000x1000 raster
-# ran about 2.5 times slower.  The odd golden-ratio constant added to the
-# stride spreads x over the low bits as well.  Since y + 2**33 + 1 stays
-# below the stride, keys of distinct corners never alias.
+# Tracker coordinates must stay within (-COORD_BOUND, COORD_BOUND), so a
+# lattice point (x, y), a corner of some pixel, has |x|, |y| <= COORD_BOUND.
 COORD_BOUND = 1 << 33
-_STRIDE = COORD_BOUND * 2 + 0x9E3779B9
+
+# The tracker keeps its lattice points in pages of 8x8: point (x, y) is entry
+# (y & 7) * 8 + (x & 7) of the page keyed (x >> 3) * _PAGE_STRIDE + (y >> 3).
+# The page key is one integer, so lookups avoid tuple hashing on the hot
+# path.  An int hashes to itself, and a dict starts probing at the hash's low
+# bits; a power-of-two stride would leave those bits to the page row alone,
+# so every page of a row would start at the same slot.  The odd golden-ratio
+# constant added to the stride spreads the page column over the low bits as
+# well.  Page rows lie within +-_PAGE_OFFSET, less than half the stride, so
+# keys of distinct pages never alias, and key + _PAGE_OFFSET splits into
+# column and row by one floor division; at +-COORD_BOUND it stays within
+# int64, so ``as_object`` decodes every key in numpy.
+_PAGE_OFFSET = COORD_BOUND >> 3
+_PAGE_STRIDE = 2 * _PAGE_OFFSET + 0x9E3779B9
+
+# A fresh page: 64 empty lattice points.  An entry holds the point's
+# occupancy mask in bits 0..3 and its component's union-find id from bit 4.
+_BLANK_PAGE = array("q", bytes(8 * 64))
+
+
+def _slot(pages: Dict[int, array], x: int, y: int) -> Tuple[array, int]:
+    """The page holding lattice point (x, y), made blank if absent, and its index."""
+    key = (x >> 3) * _PAGE_STRIDE + (y >> 3)
+    page = pages.get(key)
+    if page is None:
+        page = pages[key] = _BLANK_PAGE[:]
+    return page, (y & 7) << 3 | (x & 7)
 
 
 def _corner_gains(slot: int) -> Tuple[int, ...]:
@@ -206,8 +228,25 @@ def _no_empty_run(offsets: np.ndarray, extent: int, count: int) -> bool:
     return not (empty[:-1] & empty[1:]).any()
 
 
+class TrackerStats(NamedTuple):
+    """The shape of a tracker's storage, from ``Tracker.stats()``."""
+
+    pages: int  # 8x8 pages of lattice points allocated
+    corners: int  # lattice points that are a corner of some pixel
+    components: int  # union-find ids allocated, one per isolated insertion
+    max_depth: int  # longest union-find path from an id to its root
+
+
 class Tracker:
     """Grows a digital object pixel by pixel, keeping all counters current.
+
+    The lattice points live in 8x8 pages of int64 entries, each holding the
+    point's corner occupancy mask and the union-find id of the component
+    its pixels belong to: a few dozen bytes per pixel on a dense object,
+    about a kilobyte on widely scattered pixels, which take a page or more
+    each.  The union-find runs over components, not pixels: an insertion
+    touching no occupied corner allocates an id, and every other insertion
+    writes the root it found into its four corners.
 
     Single-writer: do not mutate one tracker from several threads.  Snapshots
     are immutable and freely shareable.  Deletion is unsupported by design;
@@ -215,15 +254,12 @@ class Tracker:
     (-2**33, 2**33), which comfortably covers 32-bit signed positions.
     """
 
-    __slots__ = ("_corners", "_parent", "_rank", "_keys", "p", "v", "b", "t", "c")
+    __slots__ = ("_pages", "_parent", "_rank", "p", "v", "b", "t", "c")
 
     def __init__(self, pixels: Iterable[Pixel] = ()):
-        # corner value = occupancy mask (bits 0..3) | pixel id << 4, where the
-        # id belongs to the first pixel inserted at this corner
-        self._corners: Dict[int, int] = {}
+        self._pages: Dict[int, array] = {}
         self._parent: list = []
         self._rank: list = []
-        self._keys: list = []
         self.p = 0
         self.v = 0
         self.b = 0
@@ -246,56 +282,87 @@ class Tracker:
             py = index(py)
         except TypeError:
             return False
-        # out-of-bound coordinates would alias the key of an in-bound pixel
+        # out-of-bound coordinates would alias the page of an in-bound pixel
         if abs(px) >= COORD_BOUND or abs(py) >= COORD_BOUND:
             return False
-        return bool(self._corners.get(px * _STRIDE + py + COORD_BOUND, 0) & 8)
+        page = self._pages.get((px >> 3) * _PAGE_STRIDE + (py >> 3))
+        return page is not None and bool(page[(py & 7) << 3 | (px & 7)] & 8)
+
+    def _pixel_coords(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The x and y coordinates of every pixel, decoded from the pages.
+
+        A pixel sets bit 8 at its lower-left corner, so the entries of all
+        pages, laid end to end, hold a pixel at each flat index f with bit 8
+        set: on page f >> 6, row f >> 3 & 7 and column f & 7.
+        """
+        pages = self._pages
+        keys = np.fromiter(pages, dtype=np.int64, count=len(pages))
+        cols, rows = np.divmod(keys + _PAGE_OFFSET, _PAGE_STRIDE)
+        rows -= _PAGE_OFFSET
+        entries = np.frombuffer(b"".join(pages.values()), dtype=np.int64)
+        flat = np.flatnonzero(entries & 8)
+        page = flat >> 6
+        return cols[page] * 8 + (flat & 7), rows[page] * 8 + (flat >> 3 & 7)
 
     def as_object(self) -> DigitalObject:
         """The current pixel set as an immutable DigitalObject.
 
-        The result is mask-backed (see ``DigitalObject.from_mask``) when every
-        key fits int64, the tight box holds no run of two or more empty rows
-        or columns and its area is within ``MAX_RASTER_CELLS``; ``analyze``
-        then copies the mask once and no pixel tuple is built.  Otherwise it
-        is set-backed: ``rasterize`` can then squeeze the empty runs or
-        refuse the box before allocating it, and keys of coordinates near
-        ``COORD_BOUND``, beyond int64, decode exactly.
+        The result is mask-backed (see ``DigitalObject.from_mask``) when the
+        tight box holds no run of two or more empty rows or columns and its
+        area is within ``MAX_RASTER_CELLS``; ``analyze`` then copies the
+        mask once and no pixel tuple is built.  Otherwise it is set-backed:
+        ``rasterize`` can then squeeze the empty runs or refuse the box
+        before allocating it.
         """
-        keys = self._keys
-        if not keys:
+        count = self.p
+        if not count:
             return DigitalObject()
-        try:
-            # an explicit dtype, since numpy would read keys past int64 as
-            # float64 and silently merge pixels
-            xs, ys = np.divmod(np.array(keys, dtype=np.int64), _STRIDE)
-        except OverflowError:
-            xs = None
-        if xs is not None:
-            ys -= COORD_BOUND
-            x0, y0 = int(xs.min()), int(ys.min())
-            width = int(xs.max()) - x0 + 1
-            height = int(ys.max()) - y0 + 1
-            xs -= x0
-            ys -= y0
-            if (
-                width * height <= MAX_RASTER_CELLS
-                and _no_empty_run(xs, width, len(keys))
-                and _no_empty_run(ys, height, len(keys))
-            ):
-                mask = np.zeros((height, width), dtype=bool)
-                mask[ys, xs] = True
-                return DigitalObject.from_mask(mask, (x0, y0))
-        pairs = []
-        for key in keys:
-            x, rest = divmod(key, _STRIDE)
-            pairs.append((x, rest - COORD_BOUND))
-        return DigitalObject(pairs)
+        xs, ys = self._pixel_coords()
+        x0, y0 = int(xs.min()), int(ys.min())
+        width = int(xs.max()) - x0 + 1
+        height = int(ys.max()) - y0 + 1
+        xs -= x0
+        ys -= y0
+        if (
+            width * height <= MAX_RASTER_CELLS
+            and _no_empty_run(xs, width, count)
+            and _no_empty_run(ys, height, count)
+        ):
+            mask = np.zeros((height, width), dtype=bool)
+            mask[ys, xs] = True
+            return DigitalObject.from_mask(mask, (x0, y0))
+        return DigitalObject(zip((xs + x0).tolist(), (ys + y0).tolist()))
+
+    def stats(self) -> TrackerStats:
+        """Page, corner and union-find figures, computed now from the state.
+
+        Nothing is counted during insertion, so ``add_pixel`` pays nothing
+        for it; asking costs one pass over the pages and the union-find.
+        """
+        pages = self._pages
+        entries = np.frombuffer(b"".join(pages.values()), dtype=np.int64)
+        parent = np.array(self._parent, dtype=np.int64)
+        # move every id still below a root up one link per round; the
+        # rounds in which some id moved count the deepest path
+        moving = np.arange(parent.size)
+        depth = 0
+        while True:
+            up = parent[moving]
+            moving = up[up != moving]
+            if not moving.size:
+                break
+            depth += 1
+        return TrackerStats(
+            pages=len(pages),
+            corners=int(np.count_nonzero(entries)),
+            components=len(self._parent),
+            max_depth=depth,
+        )
 
     def add_pixel(self, pixel: Pixel) -> InsertionDelta:
         """Insert one pixel and return the resulting change vector.
 
-        Work is bounded by the pixel's 8-neighborhood plus union-find cost.
+        Work is bounded by the pixel's four corners plus union-find cost.
         Inserting a pixel that is already present raises DuplicatePixelError
         and leaves the state untouched; so does a coordinate that is not an
         integer or is a bool (TypeError), while numpy integers are stored as
@@ -308,47 +375,53 @@ class Tracker:
         py = index(py)
         if abs(px) >= COORD_BOUND or abs(py) >= COORD_BOUND:
             raise ValueError(f"pixel {pixel} outside the tracker coordinate bound")
-        k1 = px * _STRIDE + py + COORD_BOUND
-        corners = self._corners
-        get = corners.get
-        # Masks of the four corners around the pixel; bit 8/4/2/1 is the slot
-        # this pixel occupies at its lower-left/right/upper-left/right corner.
-        v1 = get(k1, 0)
-        m1 = v1 & 15
-        if m1 & 8:
+        # Entries of the four corners around the pixel; bit 8/4/2/1 is the
+        # slot this pixel occupies at its lower-left/right/upper-left/right
+        # corner.  Off its page's last row and column, all four sit in the
+        # lower-left corner's page, one entry and one row of 8 apart.
+        pages = self._pages
+        lx = px & 7
+        ly = py & 7
+        key = (px >> 3) * _PAGE_STRIDE + (py >> 3)
+        p1 = pages.get(key)
+        if p1 is None:
+            p1 = pages[key] = _BLANK_PAGE[:]
+        i1 = ly << 3 | lx
+        v1 = p1[i1]
+        if v1 & 8:
             raise DuplicatePixelError(f"pixel {pixel} already present")
-        k2 = k1 + _STRIDE
-        k3 = k1 + 1
-        k4 = k2 + 1
-        v2 = get(k2, 0)
-        v3 = get(k3, 0)
-        v4 = get(k4, 0)
-        m2 = v2 & 15
-        m3 = v3 & 15
-        m4 = v4 & 15
-
-        pid = self.p
-        tag = pid << 4
-        corners[k1] = (v1 or tag) | 8
-        corners[k2] = (v2 or tag) | 4
-        corners[k3] = (v3 or tag) | 2
-        corners[k4] = (v4 or tag) | 1
-        packed = _GAIN_LL[m1] + _GAIN_LR[m2] + _GAIN_UL[m3] + _GAIN_UR[m4]
+        if lx != 7 and ly != 7:
+            p2 = p3 = p4 = p1
+            i2 = i1 + 1
+            i3 = i1 + 8
+            i4 = i1 + 9
+        else:
+            p2, i2 = _slot(pages, px + 1, py)
+            p3, i3 = _slot(pages, px, py + 1)
+            p4, i4 = _slot(pages, px + 1, py + 1)
+        v2 = p2[i2]
+        v3 = p3[i3]
+        v4 = p4[i4]
+        packed = (
+            _GAIN_LL[v1 & 15] + _GAIN_LR[v2 & 15] + _GAIN_UL[v3 & 15] + _GAIN_UR[v4 & 15]
+        )
 
         # Every 8-neighbor shares a corner with the new pixel, and all pixels
         # at one corner are already in one component, so one find per
         # occupied corner, on the id that corner keeps, unites all of them.
-        # The new pixel is a singleton of rank 0: it hangs below the first
-        # root found without a link of its own, and enters the forest once
-        # the final root is known.
+        # A corner keeping the root found so far needs no find.  The final
+        # root is written back into all four corners, so their next finds
+        # stop at once unless a later union moved it.
         parent = self._parent
         rank = self._rank
-        root = pid
+        root = -1
         merged = 0
         for value in (v1, v2, v3, v4):
             if not value:
                 continue
             q = value >> 4
+            if q == root:
+                continue
             qp = parent[q]
             while qp != q:
                 grand = parent[qp]
@@ -360,7 +433,7 @@ class Tracker:
                 qp = parent[grand]
             if q != root:
                 merged += 1
-                if root == pid:
+                if root < 0:
                     root = q
                 elif rank[root] < rank[q]:
                     parent[root] = q
@@ -369,17 +442,21 @@ class Tracker:
                     parent[q] = root
                     if rank[root] == rank[q]:
                         rank[root] += 1
-        parent.append(root)
-        rank.append(0)
-        if merged and not rank[root]:
-            rank[root] = 1
-        self._keys.append(k1)
+        if root < 0:
+            root = len(parent)
+            parent.append(root)
+            rank.append(0)
+        tag = root << 4
+        p1[i1] = v1 & 15 | tag | 8
+        p2[i2] = v2 & 15 | tag | 4
+        p3[i3] = v3 & 15 | tag | 2
+        p4[i4] = v4 & 15 | tag | 1
 
         entry = _TRANSITIONS.get(packed | merged << 24)
         if entry is None:
             entry = _transition(packed, merged, pixel)
         dv, dc, db, dt, delta = entry
-        self.p = pid + 1
+        self.p += 1
         self.v += dv
         self.b += db
         self.t += dt

@@ -90,10 +90,15 @@ def random_sweep(
         masks, snapshots = [], []
         for _ in range(min(per_stack, runs - start)):
             obj = generate.generate_random(width, height, density, seed=rng.next_u64())
-            masks.append(obj._to_mask((0, 0), (height, width)))
-            pixels = list(obj)
-            rng.shuffle(pixels)
+            mask = obj._to_mask((0, 0), (height, width))
+            masks.append(mask)
+            # cell i is pixel (i % width, i // width): the flat indices are
+            # in the (y, x) order of iterating the object, and take one small
+            # int each where a pixel tuple would take three objects
+            cells = np.flatnonzero(mask).tolist()
+            rng.shuffle(cells)
             tracker = Tracker()
+            pixels = ((cell % width, cell // width) for cell in cells)
             for _ in replay(tracker, pixels, cases):
                 pass
             snapshots.append(tracker.snapshot())

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from pixtopo import (
     classify_case,
     generate_random,
 )
-from pixtopo.incremental import _STRIDE, COORD_BOUND
+from pixtopo.incremental import _PAGE_OFFSET, _PAGE_STRIDE, COORD_BOUND, TrackerStats
 from pixtopo.invariants import (
     _BLOCK_MASK,
     _TUNNEL_MASKS,
@@ -42,6 +43,19 @@ def deltas_of(base, pixel):
         db=after["b"] - before["b"],
         dt=after["t_direct"] - before["t_direct"],
     )
+
+
+def page_entries(tracker):
+    """Every occupied lattice point of a tracker, decoded from its pages,
+    with its entry: occupancy mask | component id << 4."""
+    entries = {}
+    for key, page in tracker._pages.items():
+        col, row = divmod(key + _PAGE_OFFSET, _PAGE_STRIDE)
+        row -= _PAGE_OFFSET
+        for i, value in enumerate(page):
+            if value:
+                entries[8 * col + i % 8, 8 * row + i // 8] = value
+    return entries
 
 
 def test_new_tracker_is_empty():
@@ -180,6 +194,111 @@ def test_pixels_at_the_coordinate_bound_keep_distinct_keys():
     assert all(pixel in tr for pixel in pixels)
     assert (1, top) not in tr and (0, bottom) not in tr
     assert tr.as_object() == DigitalObject(pixels)
+
+
+def test_page_keys_at_the_coordinate_bound_fit_int64():
+    # lattice points reach +-COORD_BOUND, one past the pixels' bound
+    for x in (-COORD_BOUND, COORD_BOUND):
+        for y in (-COORD_BOUND, COORD_BOUND):
+            key = (x >> 3) * _PAGE_STRIDE + (y >> 3)
+            assert -2**63 <= key + _PAGE_OFFSET < 2**63
+            assert divmod(key + _PAGE_OFFSET, _PAGE_STRIDE) == (x >> 3, (y >> 3) + _PAGE_OFFSET)
+
+
+# offsets that put the blobs of pixel_lists (coordinates -2..7) across the
+# rows, columns and corners of 8x8 pages, near the origin and near both ends
+# of the coordinate bound
+PAGE_EDGE_OFFSETS = [-17, -9, -1, 7, 15, COORD_BOUND - 12, -(COORD_BOUND - 12)]
+
+
+@st.composite
+def page_edge_lists(draw):
+    pixels = draw(pixel_lists)
+    dx = draw(st.sampled_from(PAGE_EDGE_OFFSETS))
+    dy = draw(st.sampled_from(PAGE_EDGE_OFFSETS))
+    return [(x + dx, y + dy) for x, y in pixels]
+
+
+@given(page_edge_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_blobs_across_page_edges_match_the_oracles(pixels, rnd):
+    rnd.shuffle(pixels)
+    tr = Tracker(pixels)
+    snap = tr.snapshot()
+    expected = oracles.report(pixels)
+    assert (snap.p, snap.v, snap.c0, snap.h, snap.b, snap.t_direct) == tuple(
+        expected[key] for key in ("p", "v", "c0", "h", "b", "t_direct")
+    )
+    assert tr.as_object() == DigitalObject(pixels)
+    members = set(pixels)
+    for x, y in pixels:
+        for q in ((x + dx, y + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+            assert (q in tr) == (q in members)
+
+
+# pixels on a page's last column, last row or both, next to the origin and
+# to both ends of the coordinate bound
+PAGE_EDGE_PIXELS = [
+    (7, 3), (3, 7), (7, 7), (-1, -1), (-9, 0),
+    (COORD_BOUND - 1, COORD_BOUND - 1), (-COORD_BOUND + 7, -COORD_BOUND + 7),
+]
+
+
+@pytest.mark.parametrize("pixel", PAGE_EDGE_PIXELS)
+def test_rejected_page_edge_pixel_leaves_the_tracker_unchanged(pixel):
+    x, y = pixel
+    base = [(x, y), (x - 1, y - 1), (x - 1, y)]
+    tr = Tracker(base)
+    probes = [(x + dx, y + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+    def state():
+        return len(tr), tr.snapshot(), [q in tr for q in probes], tr.as_object(), tr.stats()
+
+    before = state()
+    with pytest.raises(DuplicatePixelError):
+        tr.add_pixel((x, y))
+    assert state() == before
+    with pytest.raises(TypeError):
+        tr.add_pixel((x + 0.5, y))
+    assert state() == before
+    with pytest.raises(TypeError, match="bool"):
+        tr.add_pixel((x, True))
+    assert state() == before
+    with pytest.raises(ValueError):
+        tr.add_pixel((x, y + 2 * COORD_BOUND))
+    assert state() == before
+    # the tracker still takes the pixel that completes the 2x2 block
+    assert tr.add_pixel((x, y - 1)) == deltas_of(base, (x, y - 1))
+    assert tr.snapshot() == Tracker([(0, 0), (0, 1), (1, 0), (1, 1)]).snapshot()
+
+
+def test_grown_tracker_holds_under_100_bytes_per_pixel():
+    pixels = list(generate_random(200, 200, 0.5, seed=1))
+    random.Random(1).shuffle(pixels)
+    tracemalloc.start()
+    try:
+        tr = Tracker(pixels)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == len(pixels)
+    assert size / len(pixels) < 100
+
+
+def test_stats_of_the_3x3_block():
+    tr = Tracker((x, y) for y in range(3) for x in range(3))
+    assert tr.stats() == TrackerStats(pages=1, corners=16, components=1, max_depth=0)
+
+
+def test_stats_of_two_components():
+    # the corners of (7, 7) fall on four pages, one of them shared with (0, 0)
+    tr = Tracker([(0, 0), (7, 7)])
+    assert tr.stats() == TrackerStats(pages=4, corners=8, components=2, max_depth=0)
+    # two isolated pixels take an id each; the pixel between them links one
+    # root below the other
+    tr = Tracker([(0, 0), (2, 0), (1, 0)])
+    assert tr.stats() == TrackerStats(pages=1, corners=8, components=2, max_depth=1)
+    assert Tracker().stats() == TrackerStats(pages=0, corners=0, components=0, max_depth=0)
 
 
 @pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
@@ -324,10 +443,7 @@ def test_corner_masks_are_the_census_codes(width, height, density, seed):
     # is only sound while both read a lattice point's four pixels in one layout
     obj = generate_random(width, height, density, seed)
     tr = Tracker(obj)
-    corners = {}
-    for key, value in tr._corners.items():
-        x, rest = divmod(key, _STRIDE)
-        corners[x, rest - COORD_BOUND] = value & 15
+    corners = {point: value & 15 for point, value in page_entries(tr).items()}
     # window [r, c] of the padded raster is the lattice point (x0 + c, y0 + r)
     # and holds its SW, SE, NW and NE pixels in bits 1, 2, 4 and 8
     m = rasterize(obj).astype(int)
@@ -398,9 +514,8 @@ def test_as_object_equals_the_replayed_pixels(pixels, rnd):
     rnd.shuffle(pixels)
     tr = Tracker(pixels)
     obj = tr.as_object()
-    fits = all(-2**63 <= x * _STRIDE + y + COORD_BOUND < 2**63 for x, y in pixels)
     squeezable = has_empty_run(x for x, _ in pixels) or has_empty_run(y for _, y in pixels)
-    assert (obj._mask is not None) == (bool(pixels) and fits and not squeezable)
+    assert (obj._mask is not None) == (bool(pixels) and not squeezable)
     snap = tr.snapshot()
     rep = analyze(obj)
     assert (rep.p, rep.v, rep.c0, rep.h, rep.b, rep.t_direct) == (
@@ -414,12 +529,12 @@ def test_as_object_equals_the_replayed_pixels(pixels, rnd):
 
 
 def test_as_object_of_keys_on_both_sides_of_int64():
-    # numpy would read these two keys as float64, where they collide
+    # packed as x * (2**34 + 0x9E3779B9) + y + 2**33, these two pixels fell
+    # on both sides of 2**63, where numpy would merge them as float64; their
+    # page keys fit int64, so both decode exactly into a mask
     pixels = [(465021186, 0), (465021187, 0)]
-    keys = [x * _STRIDE + y + COORD_BOUND for x, y in pixels]
-    assert keys[0] < 2**63 <= keys[1]
     obj = Tracker(pixels).as_object()
-    assert obj._mask is None
+    assert obj._mask is not None
     assert obj == DigitalObject(pixels) and list(obj) == pixels
     assert analyze(obj).consistent and len(obj) == 2
     # just below the edge the mask path decodes the keys exactly
