@@ -6,15 +6,7 @@ counter identity t = v - 2(p + c - h) + b; maintains all counters
 incrementally under pixel insertion; and classifies digital curves.
 """
 
-from .grid import (
-    Adjacency,
-    DigitalObject,
-    Pixel,
-    are_adjacent,
-    corners,
-    from_pixels,
-    neighbors,
-)
+from .grid import Adjacency, DigitalObject, Pixel, corners
 from .invariants import (
     InvariantReport,
     analyze,
@@ -22,7 +14,6 @@ from .invariants import (
     count_blocks,
     count_components,
     count_holes,
-    count_pixels,
     count_tunnels_direct,
     count_vertices,
     has_separating_tunnels,
@@ -83,18 +74,15 @@ __all__ = [
     "TrackerCorruptionError",
     "analyze",
     "analyze_batch",
-    "are_adjacent",
     "classify_case",
     "corners",
     "count_blocks",
     "count_components",
     "count_holes",
-    "count_pixels",
     "count_tunnels_direct",
     "count_vertices",
     "curve_report",
     "emit_report",
-    "from_pixels",
     "generate_blockfree",
     "generate_curve",
     "generate_random",
@@ -104,7 +92,6 @@ __all__ = [
     "is_simple_arc",
     "is_simple_closed_curve",
     "is_tunnel_free",
-    "neighbors",
     "parse_ascii_grid",
     "parse_pbm",
     "to_ascii_grid",

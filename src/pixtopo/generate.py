@@ -109,7 +109,7 @@ def generate_random(width: int, height: int, density: float, seed: int) -> Digit
     """Bernoulli-sample a width x height grid with the given pixel density.
 
     Identical (width, height, density, seed) always yield the identical
-    object, mask-backed with cell i at row i // width, column i % width.
+    object, whose pixel (i % width, i // width) is cell i of the grid.
     Raises ValueError unless both sizes are positive, density lies in [0, 1]
     and the grid holds at most ``RANDOM_CELL_CAP`` cells.
     """

@@ -27,14 +27,8 @@ from typing import Dict, Iterable, NamedTuple, Tuple
 
 import numpy as np
 
-from .grid import DigitalObject, Pixel
-from .invariants import (
-    _BLOCK_MASK,
-    _TUNNEL_MASKS,
-    MAX_RASTER_CELLS,
-    InvariantReport,
-    tunnels_by_formula,
-)
+from .grid import MAX_RASTER_CELLS, DigitalObject, Pixel, _member
+from .invariants import _BLOCK_MASK, _TUNNEL_MASKS, InvariantReport, tunnels_by_formula
 
 
 class DuplicatePixelError(ValueError):
@@ -213,21 +207,6 @@ def _transition(packed: int, merged: int, pixel: Pixel) -> _Transition:
     return entry
 
 
-def _no_empty_run(offsets: np.ndarray, extent: int, count: int) -> bool:
-    """Whether ``count`` offsets in 0..extent-1 leave no two adjacent lines empty.
-
-    Then ``rasterize`` would squeeze nothing along this axis.  Without such
-    a run every other line at most is empty, so the extent is at most twice
-    the distinct offsets less one; a longer axis fails before any array of
-    its length is made.
-    """
-    if extent > 2 * count - 1:
-        return False
-    empty = np.ones(extent, dtype=bool)
-    empty[offsets] = False
-    return not (empty[:-1] & empty[1:]).any()
-
-
 class TrackerStats(NamedTuple):
     """The shape of a tracker's storage, from ``Tracker.stats()``."""
 
@@ -272,16 +251,10 @@ class Tracker:
         return self.p
 
     def __contains__(self, pixel: object) -> bool:
-        if not (isinstance(pixel, tuple) and len(pixel) == 2):
+        pixel = _member(pixel)
+        if pixel is None:
             return False
         px, py = pixel
-        if px.__class__ is bool or py.__class__ is bool:
-            return False
-        try:
-            px = index(px)
-            py = index(py)
-        except TypeError:
-            return False
         # out-of-bound coordinates would alias the page of an in-bound pixel
         if abs(px) >= COORD_BOUND or abs(py) >= COORD_BOUND:
             return False
@@ -307,12 +280,16 @@ class Tracker:
     def as_object(self) -> DigitalObject:
         """The current pixel set as an immutable DigitalObject.
 
-        The result is mask-backed (see ``DigitalObject.from_mask``) when the
-        tight box holds no run of two or more empty rows or columns and its
-        area is within ``MAX_RASTER_CELLS``; ``analyze`` then copies the
-        mask once and no pixel tuple is built.  Otherwise it is set-backed:
-        ``rasterize`` can then squeeze the empty runs or refuse the box
-        before allocating it.
+        When each side of the tight box is shorter than twice the pixel
+        count and the box is within ``MAX_RASTER_CELLS``, the pixels are
+        written into a mask of the box, which ``DigitalObject.from_mask``
+        squeezes, and no pixel tuple is built.  A longer side must hold a
+        run of two or more empty lines, and a larger box may squeeze to
+        within the limit, so otherwise the pixels go to
+        ``DigitalObject(pixels)``, which squeezes them without allocating
+        the box.  Raises ValueError, as both constructors do, when the
+        squeezed box exceeds ``MAX_RASTER_CELLS``; the tracker is left as
+        it was.
         """
         count = self.p
         if not count:
@@ -321,17 +298,11 @@ class Tracker:
         x0, y0 = int(xs.min()), int(ys.min())
         width = int(xs.max()) - x0 + 1
         height = int(ys.max()) - y0 + 1
-        xs -= x0
-        ys -= y0
-        if (
-            width * height <= MAX_RASTER_CELLS
-            and _no_empty_run(xs, width, count)
-            and _no_empty_run(ys, height, count)
-        ):
+        if width < 2 * count and height < 2 * count and width * height <= MAX_RASTER_CELLS:
             mask = np.zeros((height, width), dtype=bool)
-            mask[ys, xs] = True
+            mask[ys - y0, xs - x0] = True
             return DigitalObject.from_mask(mask, (x0, y0))
-        return DigitalObject(zip((xs + x0).tolist(), (ys + y0).tolist()))
+        return DigitalObject(zip(xs.tolist(), ys.tolist()))
 
     def stats(self) -> TrackerStats:
         """Page, corner and union-find figures, computed now from the state.

@@ -11,19 +11,18 @@ point.  The counters are tied together by
 which ``analyze`` evaluates alongside the directly counted t as a built-in
 consistency check.
 
-Every counter reads pixels the same way: ``rasterize`` writes the object
-into a boolean mask padded by one empty cell on each side.  v, b and t come
-from a census of the mask's 2x2 windows (Gray 1971), c0 and c1 from
-labelling the mask, and h from labelling its complement.  In a set-backed
-object every run of two or more fully empty rows or columns is squeezed to
+Every counter reads pixels the same way: ``rasterize`` pads the object's
+squeezed raster (see ``grid.DigitalObject``) by one empty cell on each
+side.  v, b and t come from a census of the mask's 2x2 windows (Gray 1971),
+c0 and c1 from labelling the mask, and h from labelling its complement.  In
+the squeezed raster every run of two or more fully empty rows or columns is
 a single empty line.  That changes no counter: one empty line still keeps
 corners and 8-neighbours apart, and a fully empty line inside the padded box
 belongs to the outer complement region, so no hole touches it (Kong and
 Rosenfeld 1989).  Memory is therefore proportional to the squeezed box, set
 by the number of distinct occupied rows and columns rather than by their
-distance, and every counter raises ValueError once that box exceeds
-``MAX_RASTER_CELLS``.  A mask-backed object (see ``grid.DigitalObject``) is
-copied unsqueezed, and its pixel set is never built.
+distance; an object whose squeezed box exceeds ``MAX_RASTER_CELLS`` cannot
+be built.
 
 ``analyze_batch`` runs the same engine over a stack of masks: one census of
 all padded slices, then three ``ndi.label`` calls with ``analyze``'s
@@ -35,11 +34,11 @@ it; ``analyze`` stays separate, as a stack of one pays for a per-slice census.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .grid import Adjacency, DigitalObject
+from .grid import Adjacency, DigitalObject, _check_raster_size
 
 
 class _LazyNdimage:
@@ -61,9 +60,6 @@ class _LazyNdimage:
 
 
 ndi = _LazyNdimage()
-
-# Hard ceiling for rasterize, whose memory grows with the area of the squeezed box.
-MAX_RASTER_CELLS = 100_000_000
 
 _STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _STRUCT8 = np.ones((3, 3), dtype=bool)
@@ -98,61 +94,21 @@ class InvariantReport:
 # ---------------------------------------------------------------------------
 # the raster
 
-def _lines(coords: Iterable[int]) -> Tuple[Dict[int, int], int]:
-    """Mask line of each distinct coordinate along one axis, and the line count.
-
-    Occupied coordinates take lines 1, 2, ... in order; a gap between two of
-    them, whether one empty line or a run of many, becomes one empty line.
-    """
-    distinct = sorted(set(coords))
-    lines: Dict[int, int] = {}
-    line, last = 0, distinct[0] - 1
-    for c in distinct:
-        line += 1 if c == last + 1 else 2
-        lines[c] = line
-        last = c
-    return lines, line
-
-
 def rasterize(obj: DigitalObject) -> np.ndarray:
-    """Boolean mask of the object padded by one empty cell per side.
+    """The object's squeezed raster padded by one empty cell per side.
 
     The one engine: every counter and curve predicate reads pixels only
     through this mask.  Rows run along y and columns along x, both
-    increasing.  A mask-backed object's mask is copied into the padded
-    buffer with one slice assignment, so no pixel tuple is built.  In a
-    set-backed object every run of two or more fully empty rows or columns
-    becomes one empty line, which leaves every counter unchanged; cells map
-    to pixels by a shift only when no run was squeezed.  Raises ValueError,
-    before allocating the mask, when the squeezed box exceeds
-    MAX_RASTER_CELLS.
+    increasing; a run of two or more empty rows or columns of the object is
+    one empty line (see ``grid.DigitalObject``), which leaves every counter
+    unchanged.  The stored mask is copied into a zeroed buffer with one
+    slice assignment.
     """
-    if not obj:
-        return np.zeros((2, 2), dtype=bool)
-    if obj._mask is not None:
-        (x0, y0), (x1, y1) = obj.bounding_box()
-        _check_raster_size(x1 - x0 + 1, y1 - y0 + 1)
-        return obj._to_mask((x0 - 1, y0 - 1), (y1 - y0 + 3, x1 - x0 + 3))
-    # two list passes, unlike zip(*pixels), allocate no container per pixel
-    # that the garbage collector would have to count
-    xs = [p[0] for p in obj.pixels]
-    ys = [p[1] for p in obj.pixels]
-    cols, width = _lines(xs)
-    rows, height = _lines(ys)
-    _check_raster_size(width, height)
-    mask = np.zeros((height + 2, width + 2), dtype=bool)
-    n = len(xs)
-    row_of = np.fromiter(map(rows.__getitem__, ys), np.intp, n)
-    mask[row_of, np.fromiter(map(cols.__getitem__, xs), np.intp, n)] = True
-    return mask
-
-
-def _check_raster_size(width: int, height: int, count: int = 1) -> None:
-    """Raise ValueError when ``count`` boxes of width x height exceed MAX_RASTER_CELLS."""
-    if count * width * height > MAX_RASTER_CELLS:
-        box = f"{width}x{height}"
-        boxes = f"stack of {count} {box} boxes" if count > 1 else f"box {box}"
-        raise ValueError(f"{boxes} exceeds the raster limit of {MAX_RASTER_CELLS} cells")
+    mask = obj._mask
+    height, width = mask.shape
+    padded = np.zeros((height + 2, width + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    return padded
 
 
 def _census(mask: np.ndarray, axis: Optional[Tuple[int, int]] = None):
@@ -187,11 +143,6 @@ def _count_labels(image: np.ndarray, structure: np.ndarray) -> int:
 
 # ---------------------------------------------------------------------------
 # public counters
-
-def count_pixels(obj: DigitalObject) -> int:
-    """Number of pixels of the object."""
-    return len(obj)
-
 
 def count_vertices(obj: DigitalObject) -> int:
     """Number of distinct lattice points occurring as pixel corners."""

@@ -19,8 +19,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .curves import CurveVerdict
-from .grid import Adjacency, DigitalObject
-from .invariants import MAX_RASTER_CELLS, InvariantReport
+from .grid import MAX_RASTER_CELLS, Adjacency, DigitalObject
+from .invariants import InvariantReport
 
 FORMAT_VERSION = "1"
 
@@ -117,7 +117,7 @@ def parse_pbm(data: bytes) -> DigitalObject:
     P1 digits may run together or be separated by whitespace and '#'
     comments.  P4 rows are padded to whole bytes, most significant bit
     first.  Padding bits and bytes after the raster are ignored, and the
-    object is mask-backed.  Raises ParseError with a byte offset on bad
+    raster becomes the object through ``DigitalObject.from_mask``.  Raises ParseError with a byte offset on bad
     magic, malformed header, an invalid P1 raster byte or a truncated raster,
     and before allocating anything when a side or the area given in the
     header exceeds MAX_RASTER_CELLS.

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pixtopo
-from pixtopo import Tracker, cli, curves, generate_random, invariants, to_pbm
+from pixtopo import Tracker, cli, curves, generate_random, grid, invariants, to_pbm
 from pixtopo.cli import (
     EXIT_BROKEN_PIPE, EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main,
 )
@@ -100,7 +100,7 @@ def test_analyze_oversized_pbm_header(tmp_path, capsys):
     ["classify", "{path}", "--adjacency", "0"],
 ])
 def test_objects_over_the_raster_limit_exit_2(argv, diamond_file, monkeypatch, capsys):
-    monkeypatch.setattr(invariants, "MAX_RASTER_CELLS", 8)
+    monkeypatch.setattr(grid, "MAX_RASTER_CELLS", 8)
     assert main([arg.format(path=diamond_file) for arg in argv]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""

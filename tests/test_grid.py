@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pixtopo import Adjacency, DigitalObject, are_adjacent, corners, from_pixels, neighbors
+from pixtopo import Adjacency, DigitalObject, Tracker, analyze, corners
 
 coords = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -20,32 +20,32 @@ def test_corners_negative():
 
 
 def test_neighbors_one():
-    assert neighbors((0, 0), Adjacency.ONE) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert set(Adjacency.ONE.offsets) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_neighbors_zero():
     expected = {(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)} - {(0, 0)}
-    assert neighbors((0, 0), Adjacency.ZERO) == expected
+    assert set(Adjacency.ZERO.offsets) == expected
 
 
 def test_diagonal_neighbors_are_the_difference():
-    diff = neighbors((5, 5), Adjacency.ZERO) - neighbors((5, 5), Adjacency.ONE)
-    assert diff == {(4, 4), (6, 4), (4, 6), (6, 6)}
+    diff = set(Adjacency.ZERO.offsets) - set(Adjacency.ONE.offsets)
+    assert diff == {(-1, -1), (1, -1), (-1, 1), (1, 1)}
 
 
 def test_from_pixels_empty():
-    assert len(from_pixels([])) == 0
-    assert not from_pixels([])
+    assert len(DigitalObject([])) == 0
+    assert not DigitalObject([])
 
 
 def test_from_pixels_dedup():
-    assert len(from_pixels([(0, 0), (0, 0)])) == 1
+    assert len(DigitalObject([(0, 0), (0, 0)])) == 1
 
 
 @pytest.mark.parametrize("pixels", [[(0.7, 0), (0, 0)], [(0, 0), (1, 2.0)], [("1", 0)]])
 def test_non_integral_coordinates_are_rejected(pixels):
     with pytest.raises(TypeError):
-        from_pixels(pixels)
+        DigitalObject(pixels)
 
 
 @pytest.mark.parametrize("pixels", [[(True, 0), (1, 0)], [(0, False)]])
@@ -56,43 +56,43 @@ def test_bool_coordinates_are_rejected(pixels):
 
 
 def test_numpy_integer_coordinates_are_accepted():
-    obj = from_pixels([(np.int64(1), np.int32(2)), (np.uint8(0), 0)])
-    assert obj == from_pixels([(1, 2), (0, 0)])
+    obj = DigitalObject([(np.int64(1), np.int32(2)), (np.uint8(0), 0)])
+    assert obj == DigitalObject([(1, 2), (0, 0)])
     assert all(type(c) is int for p in obj for c in p)
 
 
 def test_from_pixels_diamond():
-    obj = from_pixels([(1, 0), (0, 1), (2, 1), (1, 2)])
+    obj = DigitalObject([(1, 0), (0, 1), (2, 1), (1, 2)])
     assert len(obj) == 4
     assert (1, 0) in obj and (1, 1) not in obj
 
 
 def test_bounding_box():
-    assert from_pixels([]).bounding_box() is None
-    assert from_pixels([(0, 0)]).bounding_box() == ((0, 0), (0, 0))
-    assert from_pixels([(1, 0), (0, 1), (2, 1), (1, 2)]).bounding_box() == ((0, 0), (2, 2))
+    assert DigitalObject([]).bounding_box() is None
+    assert DigitalObject([(0, 0)]).bounding_box() == ((0, 0), (0, 0))
+    assert DigitalObject([(1, 0), (0, 1), (2, 1), (1, 2)]).bounding_box() == ((0, 0), (2, 2))
 
 
 def test_iteration_is_sorted_by_row_then_column():
-    obj = from_pixels([(2, 1), (0, 1), (1, 0), (1, 2)])
+    obj = DigitalObject([(2, 1), (0, 1), (1, 0), (1, 2)])
     assert list(obj) == [(1, 0), (0, 1), (2, 1), (1, 2)]
 
 
 def test_equality_and_hash():
-    a = from_pixels([(0, 0), (1, 1)])
-    b = from_pixels([(1, 1), (0, 0), (0, 0)])
+    a = DigitalObject([(0, 0), (1, 1)])
+    b = DigitalObject([(1, 1), (0, 0), (0, 0)])
     assert a == b and hash(a) == hash(b)
-    assert a != from_pixels([(0, 0)])
+    assert a != DigitalObject([(0, 0)])
 
 
-# --- mask-backed objects ------------------------------------------------------
+# --- objects from masks -------------------------------------------------------
 
 def test_from_mask_cell_convention_and_trimming():
     mask = np.zeros((4, 5), dtype=bool)
     mask[1, 2] = mask[2, 3] = True
     obj = DigitalObject.from_mask(mask, origin=(10, -7))
     # cell [row, col] is pixel (ox + col, oy + row); empty rows and columns drop
-    assert obj == from_pixels([(12, -6), (13, -5)])
+    assert obj == DigitalObject([(12, -6), (13, -5)])
     assert obj.bounding_box() == ((12, -6), (13, -5))
     assert list(obj) == [(12, -6), (13, -5)]
     assert len(obj) == 2 and obj
@@ -128,8 +128,17 @@ def test_from_mask_copies_its_input():
     mask[1, 1] = True
     obj = DigitalObject.from_mask(mask)
     mask[:] = True
-    assert obj == from_pixels([(1, 1)])
+    assert obj == DigitalObject([(1, 1)])
     assert len(obj) == 1 and obj.bounding_box() == ((1, 1), (1, 1))
+
+
+def test_from_mask_reads_a_bool_view_of_other_bytes():
+    # numpy reads any nonzero byte of a bool array as True
+    mask = np.array([[2, 1], [0, 2]], dtype=np.uint8).view(bool)
+    obj = DigitalObject.from_mask(mask)
+    expected = DigitalObject([(0, 0), (1, 0), (1, 1)])
+    assert obj == expected and hash(obj) == hash(expected)
+    assert analyze(obj) == analyze(expected)
 
 
 def test_mask_backed_iteration_yields_plain_ints():
@@ -140,14 +149,46 @@ def test_mask_backed_iteration_yields_plain_ints():
 
 
 def test_translate():
-    obj = from_pixels([(0, 0), (1, 1)]).translate(-3, 2)
+    obj = DigitalObject([(0, 0), (1, 1)]).translate(-3, 2)
     assert obj.pixels == {(-3, 2), (-2, 3)}
+    assert DigitalObject([(0, 0)]).translate(np.int64(2), np.int8(-1)) == DigitalObject([(2, -1)])
+
+
+@pytest.mark.parametrize("shift", [(True, 0), (0, False), (0.5, 0), (0, 1.0), ("1", 0)])
+def test_translate_refuses_shifts_that_are_not_integers(shift):
+    # translate(True, 0) would silently shift by one
+    with pytest.raises(TypeError):
+        DigitalObject([(0, 0)]).translate(*shift)
+
+
+_PROBES = [
+    ((1, 0), True),
+    ((np.int64(1), np.int8(0)), True),
+    ((True, 0), False),
+    ((1, False), False),
+    ((1.0, 0), False),
+    ((1, 0.0), False),
+    ([1, 0], False),
+    ((1, 0, 0), False),
+    ("10", False),
+    (None, False),
+]
+
+
+@pytest.mark.parametrize("container", [DigitalObject, Tracker])
+@pytest.mark.parametrize("probe, member", _PROBES)
+def test_membership_is_the_same_in_object_and_tracker(container, probe, member):
+    assert (probe in container([(1, 0)])) is member
+
+
+def _step(p, q):
+    return q[0] - p[0], q[1] - p[1]
 
 
 @given(coords, coords)
 def test_one_adjacent_implies_zero_adjacent(p, q):
-    if are_adjacent(p, q, Adjacency.ONE):
-        assert are_adjacent(p, q, Adjacency.ZERO)
+    if _step(p, q) in Adjacency.ONE.offsets:
+        assert _step(p, q) in Adjacency.ZERO.offsets
 
 
 @given(coords, coords)
@@ -155,9 +196,9 @@ def test_shared_corner_count_matches_adjacency_class(p, q):
     shared = len(corners(p) & corners(q))
     if p == q:
         assert shared == 4
-    elif are_adjacent(p, q, Adjacency.ONE):
+    elif _step(p, q) in Adjacency.ONE.offsets:
         assert shared == 2
-    elif are_adjacent(p, q, Adjacency.ZERO):
+    elif _step(p, q) in Adjacency.ZERO.offsets:
         assert shared == 1
     else:
         assert shared == 0
@@ -165,11 +206,10 @@ def test_shared_corner_count_matches_adjacency_class(p, q):
 
 @given(coords, coords, st.sampled_from([Adjacency.ZERO, Adjacency.ONE]))
 def test_neighbors_symmetric(p, q, adjacency):
-    assert (q in neighbors(p, adjacency)) == (p in neighbors(q, adjacency))
+    assert (_step(p, q) in adjacency.offsets) == (_step(q, p) in adjacency.offsets)
 
 
-@given(coords, st.sampled_from([Adjacency.ZERO, Adjacency.ONE]))
-def test_neighbor_count_and_self_exclusion(p, adjacency):
-    ns = neighbors(p, adjacency)
-    assert len(ns) == (8 if adjacency is Adjacency.ZERO else 4)
-    assert p not in ns
+@given(st.sampled_from([Adjacency.ZERO, Adjacency.ONE]))
+def test_neighbor_count_and_self_exclusion(adjacency):
+    assert len(set(adjacency.offsets)) == (8 if adjacency is Adjacency.ZERO else 4)
+    assert (0, 0) not in adjacency.offsets

@@ -19,13 +19,8 @@ from pixtopo import (
     generate_random,
 )
 from pixtopo.incremental import _PAGE_OFFSET, _PAGE_STRIDE, COORD_BOUND, TrackerStats
-from pixtopo.invariants import (
-    _BLOCK_MASK,
-    _TUNNEL_MASKS,
-    MAX_RASTER_CELLS,
-    _census,
-    rasterize,
-)
+from pixtopo.grid import MAX_RASTER_CELLS
+from pixtopo.invariants import _BLOCK_MASK, _TUNNEL_MASKS, _census, rasterize
 
 pixel_lists = st.lists(
     st.tuples(st.integers(-2, 7), st.integers(-2, 7)), unique=True, max_size=40
@@ -444,12 +439,13 @@ def test_corner_masks_are_the_census_codes(width, height, density, seed):
     obj = generate_random(width, height, density, seed)
     tr = Tracker(obj)
     corners = {point: value & 15 for point, value in page_entries(tr).items()}
-    # window [r, c] of the padded raster is the lattice point (x0 + c, y0 + r)
-    # and holds its SW, SE, NW and NE pixels in bits 1, 2, 4 and 8
-    m = rasterize(obj).astype(int)
-    codes = m[:-1, :-1] + 2 * m[:-1, 1:] + 4 * m[1:, :-1] + 8 * m[1:, 1:]
+    # window [r, c] of the unsqueezed raster padded by one cell is the lattice
+    # point (x0 + c, y0 + r) and holds its SW, SE, NW and NE pixels in bits
+    # 1, 2, 4 and 8
     box = obj.bounding_box()
-    x0, y0 = box[0] if box else (0, 0)
+    (x0, y0), (x1, y1) = box if box else ((0, 0), (-1, -1))
+    m = obj._to_mask((x0 - 1, y0 - 1), (y1 - y0 + 3, x1 - x0 + 3)).astype(int)
+    codes = m[:-1, :-1] + 2 * m[:-1, 1:] + 4 * m[1:, :-1] + 8 * m[1:, 1:]
     assert corners == {
         (x0 + int(c), y0 + int(r)): int(codes[r, c]) for r, c in np.argwhere(codes)
     }
@@ -466,7 +462,7 @@ def test_corner_masks_are_the_census_codes(width, height, density, seed):
 @st.composite
 def compact_blobs(draw):
     """Pixels in a box of up to 8x8 with every row and column occupied,
-    shifted anywhere in -1000..1000: the mask-backed path."""
+    shifted anywhere in -1000..1000: nothing to squeeze."""
     width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     pixels = {(x, draw(st.integers(0, height - 1))) for x in range(width)}
     pixels |= {(draw(st.integers(0, width - 1)), y) for y in range(height)}
@@ -480,7 +476,7 @@ def compact_blobs(draw):
 @st.composite
 def split_blobs(draw):
     """Two compact blobs two or more empty lines apart along x, y or both:
-    the set-backed fallback."""
+    runs of empty lines to squeeze."""
     first, second = draw(compact_blobs()), draw(compact_blobs())
     (x0, y0), (x1, y1) = DigitalObject(first).bounding_box()
     (u0, v0), _ = DigitalObject(second).bounding_box()
@@ -502,20 +498,12 @@ tiny_sets = st.one_of(
 )
 
 
-def has_empty_run(coords) -> bool:
-    """Whether two occupied coordinates have two or more empty lines between them."""
-    distinct = sorted(set(coords))
-    return any(b - a > 2 for a, b in zip(distinct, distinct[1:]))
-
-
 @given(st.one_of(compact_blobs(), split_blobs(), tiny_sets, pixel_lists), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_as_object_equals_the_replayed_pixels(pixels, rnd):
     rnd.shuffle(pixels)
     tr = Tracker(pixels)
     obj = tr.as_object()
-    squeezable = has_empty_run(x for x, _ in pixels) or has_empty_run(y for _, y in pixels)
-    assert (obj._mask is not None) == (bool(pixels) and not squeezable)
     snap = tr.snapshot()
     rep = analyze(obj)
     assert (rep.p, rep.v, rep.c0, rep.h, rep.b, rep.t_direct) == (
@@ -562,7 +550,8 @@ def test_compact_tracker_object_builds_no_pixel_set():
 
 def test_as_object_of_far_apart_pixels_allocates_no_line_array():
     # two pixels 5 * 10**7 columns apart: the box is within the raster limit,
-    # but the set path squeezes it, and as_object must not mark its columns
+    # but the tuple constructor squeezes it, and as_object must not mark its
+    # columns
     tr = Tracker([(0, 0), (5 * 10**7, 0)])
     tracemalloc.start()
     try:
@@ -570,16 +559,25 @@ def test_as_object_of_far_apart_pixels_allocates_no_line_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert obj._mask is None and list(obj) == [(0, 0), (5 * 10**7, 0)]
+    assert obj._mask.shape == (1, 3) and list(obj) == [(0, 0), (5 * 10**7, 0)]
     assert peak < 10**6
 
 
-def test_as_object_beyond_the_raster_limit_stays_set_backed():
-    # a diagonal two apart has no empty run, but its box exceeds the limit;
-    # as_object allocates nothing for it and analyze refuses it as before
+def test_as_object_beyond_the_raster_limit_raises():
+    # a diagonal two apart has no empty run to squeeze, and its box exceeds
+    # the limit: the object cannot be built, but the tracker keeps working
     pixels = [(2 * i, 2 * i) for i in range(6000)]
     assert (2 * 6000 - 1) ** 2 > MAX_RASTER_CELLS
-    obj = Tracker(pixels).as_object()
-    assert obj._mask is None and obj == DigitalObject(pixels)
-    with pytest.raises(ValueError, match="raster limit"):
-        analyze(obj)
+    tr = Tracker(pixels)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^box 11999x11999 exceeds the raster limit"):
+            tr.as_object()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000  # the refused mask would take 144 MB
+    with pytest.raises(ValueError, match="^box 11999x11999 exceeds the raster limit"):
+        DigitalObject(pixels)
+    tr.add_pixel((1, 0))
+    assert tr.snapshot().p == 6001 and (1, 0) in tr

@@ -13,7 +13,6 @@ from pixtopo import (
     count_blocks,
     count_components,
     count_holes,
-    count_pixels,
     count_tunnels_direct,
     count_vertices,
     curve_report,
@@ -23,7 +22,7 @@ from pixtopo import (
     is_tunnel_free,
     tunnels_by_formula,
 )
-from pixtopo import invariants
+from pixtopo import grid, invariants
 
 
 small_objects = st.builds(
@@ -39,9 +38,9 @@ def obj(pixels):
 # --- individual counters on the canonical fixtures -------------------------
 
 def test_count_pixels():
-    assert count_pixels(obj([])) == 0
-    assert count_pixels(obj([(0, 0)])) == 1
-    assert count_pixels(obj(DIAMOND)) == 4
+    assert len(obj([])) == 0
+    assert len(obj([(0, 0)])) == 1
+    assert len(obj(DIAMOND)) == 4
 
 
 def test_count_vertices():
@@ -195,7 +194,7 @@ _COUNTERS = [
 ]
 
 
-# is_k_separating rasterizes a set-backed remainder, whatever its arguments
+# is_k_separating is left out: its (0, 0) is no pixel of the diamond
 @pytest.mark.parametrize("fn, _", _COUNTERS[:-1])
 def test_raster_functions_build_one_bounding_box(fn, _, monkeypatch):
     calls = {"rasterize": 0, "bounding_box": 0}
@@ -212,15 +211,15 @@ def test_raster_functions_build_one_bounding_box(fn, _, monkeypatch):
     mask = np.zeros((3, 3), dtype=bool)
     for x, y in DIAMOND:
         mask[y, x] = True
-    set_backed, mask_backed = obj(DIAMOND), DigitalObject.from_mask(mask)
+    from_pixels, from_mask = obj(DIAMOND), DigitalObject.from_mask(mask)
     monkeypatch.setattr(invariants, "rasterize", counted_rasterize)
     monkeypatch.setattr(DigitalObject, "bounding_box", counted_bounding_box)
-    # a set-backed object finds its lines in one pass over its pixels, so no
-    # box is computed; a mask-backed one reads the box it already holds
-    fn(set_backed)
+    # every object holds its squeezed raster, which rasterize pads without
+    # asking for a box, however the object was built
+    fn(from_pixels)
     assert calls == {"rasterize": 1, "bounding_box": 0}
-    fn(mask_backed)
-    assert calls == {"rasterize": 2, "bounding_box": 1}
+    fn(from_mask)
+    assert calls == {"rasterize": 2, "bounding_box": 0}
 
 
 @pytest.mark.parametrize("fn, far_answer", _COUNTERS)
@@ -228,12 +227,13 @@ def test_raster_functions_refuse_oversized_boxes(fn, far_answer):
     # runs of empty lines are squeezed, so distance alone costs nothing
     assert fn(_FAR) == far_answer
     # single empty lines are kept: 6000 diagonal pixels spaced by one cell
-    # still span 11999 x 11999 cells, over the limit
-    diagonal = obj([(2 * i, 2 * i) for i in range(6_000)])
+    # still span 11999 x 11999 cells, over the limit, so the object cannot
+    # be built and no counter is reached
+    diagonal = [(2 * i, 2 * i) for i in range(6_000)]
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"^box \d+x\d+ exceeds the raster limit"):
-            fn(diagonal)
+            fn(obj(diagonal))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,7 +349,7 @@ def test_square_symmetry_invariance(o, which):
     )
 
 
-# --- the two representations of an object ---------------------------------
+# --- the two constructors of an object -------------------------------------
 
 @given(
     small_objects,
@@ -375,7 +375,7 @@ def test_mask_backed_object_matches_set_backed(o, ox, oy, pad_x, pad_y):
     assert analyze(m) == analyze(s)
     assert count_holes(m) == count_holes(s)
     assert has_separating_tunnels(m) == has_separating_tunnels(s)
-    # none of the above builds the pixel set of a mask-backed object
+    # none of the above builds the pixel set of an object from a mask
     assert m._pixels is None or not m
     for alpha in (Adjacency.ZERO, Adjacency.ONE):
         assert curve_report(m, alpha) == curve_report(s, alpha)
@@ -383,6 +383,94 @@ def test_mask_backed_object_matches_set_backed(o, ox, oy, pad_x, pad_y):
     for x in range(ox - 1, ox + width + 1):
         for y in range(oy - 1, oy + height + 1):
             assert ((x, y) in m) == ((x, y) in s)
+
+
+@st.composite
+def gappy_masks(draw):
+    """A random mask of up to 6x6 cells spread over a larger one, with zero
+    to three empty lines before each of its rows and columns and after the
+    last: runs of empty lines for ``from_mask`` to squeeze."""
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bits = draw(st.lists(st.booleans(), min_size=height * width, max_size=height * width))
+    at = []
+    for n in (height, width):
+        gaps = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+        at.append(np.cumsum(np.add(gaps[:-1], 1)) - 1)
+        at.append(int(at[-1][-1]) + 1 + gaps[-1])
+    rows, total_rows, cols, total_cols = at
+    mask = np.zeros((total_rows, total_cols), dtype=bool)
+    mask[np.ix_(rows, cols)] = np.array(bits, dtype=bool).reshape(height, width)
+    return mask
+
+
+def _raster(o):
+    return o._mask.tobytes(), o._mask.shape, o._xs.tolist(), o._ys.tolist()
+
+
+@given(gappy_masks(), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@settings(max_examples=300)
+def test_squeezed_mask_equals_the_object_of_its_pixels(mask, ox, oy):
+    m = DigitalObject.from_mask(mask, origin=(ox, oy))
+    pixels = [(ox + int(col), oy + int(row)) for row, col in np.argwhere(mask)]
+    s = DigitalObject(list(m))
+    # both constructors give the one canonical raster of the pixels
+    assert m == s and hash(m) == hash(s) and _raster(m) == _raster(s)
+    assert m == DigitalObject(reversed(pixels)) and list(m) == pixels
+    assert len(m) == len(pixels) and bool(m) == bool(pixels)
+    if pixels:
+        xs, ys = [x for x, _ in pixels], [y for _, y in pixels]
+        assert m.bounding_box() == ((min(xs), min(ys)), (max(xs), max(ys)))
+        # no run of two or more empty lines is left in the stored raster
+        for axis in (0, 1):
+            occupied = m._mask.any(axis=axis)
+            assert not (~occupied[:-1] & ~occupied[1:]).any()
+        (x0, y0), (x1, y1) = m.bounding_box()
+        window = m._to_mask((x0, y0), (y1 - y0 + 1, x1 - x0 + 1))
+        assert np.array_equal(window, mask[np.ix_(
+            range(y0 - oy, y1 - oy + 1), range(x0 - ox, x1 - ox + 1)
+        )])
+    else:
+        assert m.bounding_box() is None and m == DigitalObject()
+    _assert_matches_oracles(m, pixels)
+
+
+@given(stretched(small_objects), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@settings(max_examples=200)
+def test_stretched_and_negative_objects_keep_their_raster(pair, dx, dy):
+    o, far = pair
+    # widening a gap of empty lines leaves it one squeezed line
+    assert np.array_equal(far._mask, o._mask)
+    again = DigitalObject(list(far))
+    assert far == again and hash(far) == hash(again) and _raster(far) == _raster(again)
+    moved = far.translate(dx, dy)
+    assert moved == DigitalObject((x + dx, y + dy) for x, y in far)
+    assert list(moved) == [(x + dx, y + dy) for x, y in far]
+    assert analyze(moved) == analyze(o)
+
+
+def test_coordinates_beyond_int64():
+    pixels = [(10**30, 0), (10**30 + 1, 1), (-5, 0)]
+    o = DigitalObject(pixels)
+    # the same squeezed raster as three pixels near the origin
+    near = DigitalObject([(2, 0), (3, 1), (0, 0)])
+    assert np.array_equal(o._mask, near._mask)
+    rep = analyze(o)
+    assert rep.consistent and rep == analyze(near)
+    _assert_matches_oracles(near)
+    assert list(o) == [(-5, 0), (10**30, 0), (10**30 + 1, 1)]
+    assert o.bounding_box() == ((-5, 0), (10**30 + 1, 1))
+    assert len(o) == 3 and (10**30 + 1, 1) in o and (10**30, 1) not in o
+    same = DigitalObject(reversed(pixels))
+    assert o == same and hash(o) == hash(same)
+    assert o != DigitalObject([(10**30, 0), (10**30 + 2, 1), (-5, 0)])
+    assert o.translate(-10**30, 0) == DigitalObject([(0, 0), (1, 1), (-5 - 10**30, 0)])
+    row = DigitalObject.from_mask(np.ones((1, 2), dtype=bool), origin=(10**30, 0))
+    assert row == DigitalObject([(10**30, 0), (10**30 + 1, 0)])
+    # coordinates that come back within int64 are stored as int64 again
+    home = row.translate(-10**30, 0)
+    assert home == DigitalObject([(0, 0), (1, 0)]) and home._xs.dtype == np.int64
+    edge = DigitalObject([(-(2**63) + 1, 0)]).translate(2**63, 0)
+    assert edge == DigitalObject([(1, 0)]) and edge._xs.dtype == np.int64
 
 
 def test_exhaustive_3x3_smoke():
@@ -472,7 +560,7 @@ def test_analyze_batch_refuses_a_stack_over_the_raster_limit():
 @pytest.mark.parametrize("limit", [24, 23])
 def test_analyze_batch_reads_the_raster_limit_at_call_time(limit, monkeypatch):
     stack = np.ones((2, 3, 4), dtype=bool)  # 24 cells
-    monkeypatch.setattr(invariants, "MAX_RASTER_CELLS", limit)
+    monkeypatch.setattr(grid, "MAX_RASTER_CELLS", limit)
     if limit >= stack.size:
         assert invariants.analyze_batch(stack) == [analyze(DigitalObject.from_mask(stack[0]))] * 2
     else:

@@ -18,7 +18,7 @@ from pixtopo import (
     to_ascii_grid,
     to_pbm,
 )
-from pixtopo.invariants import MAX_RASTER_CELLS
+from pixtopo.grid import MAX_RASTER_CELLS
 from pixtopo.io import _header_int
 
 grid_objects = st.builds(
@@ -158,7 +158,7 @@ def test_formats_agree(obj):
 @settings(max_examples=150)
 def test_writers_start_negative_objects_at_their_corner(cells):
     # negative positions do not round-trip: each writer renders the object
-    # shifted by (-min(x0, 0), -min(y0, 0)), from either representation
+    # shifted by (-min(x0, 0), -min(y0, 0)), from either constructor
     obj = DigitalObject(cells)
     dx = -min([0] + [x for x, _ in cells])
     dy = -min([0] + [y for _, y in cells])

@@ -17,7 +17,7 @@ from test_cli import VERIFY_3X3_SEED3
 )
 def test_subset_reports_match_analyze_in_mask_order(width, height):
     # subset k holds cell i, pixel (i % w, i // w), iff bit i of k is set;
-    # scalar analyze reads these set-backed objects through rasterize's squeeze
+    # scalar analyze reads these objects through their squeezed rasters
     w, n = width, width * height
     assert list(subset_reports(width, height)) == [
         analyze(DigitalObject((i % w, i // w) for i in range(n) if k >> i & 1))
