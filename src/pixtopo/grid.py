@@ -6,22 +6,22 @@ lattice point (x, y); we identify the pixel with that point.  Two pixels are
 when they share an edge (4-neighborhood).  Everything else in the package is
 built on the small vocabulary defined here.
 
-A ``DigitalObject`` is its squeezed raster: a read-only boolean mask over
-its tight bounding box in which every run of two or more fully empty rows or
-columns is one empty line, plus the x of each column and the y of each row.
-The squeeze changes no counter (see ``invariants``), so ``analyze`` reads
-the mask as it is, and the memory of an object follows its distinct
-occupied rows and columns rather than their distance.  ``DigitalObject``
-and ``DigitalObject.from_mask`` build the same raster from the same pixels,
-and the frozenset of pixel tuples is built only by the operations that need
-it.
+A ``DigitalObject`` is its squeezed raster and nothing else: a read-only
+boolean mask over its tight bounding box in which every run of two or more
+fully empty rows or columns is one empty line, plus the x of each column
+and the y of each row.  The squeeze changes no counter (see
+``invariants``), so ``analyze`` reads the mask as it is, and the memory of
+an object follows its distinct occupied rows and columns rather than their
+distance.  One gap rule, ``_kept``, chooses the lines to keep, whether
+``from_mask`` reads the occupied lines off a mask or ``DigitalObject(pixels)``
+and ``Tracker.as_object`` hand over pixel coordinates.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 from operator import index
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,62 +88,92 @@ def _check_raster_size(width: int, height: int, count: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# line coordinates
+# the squeeze
 
-def _lines(coords: Iterable[int]) -> Tuple[Dict[int, int], List[int]]:
-    """Mask line of each distinct coordinate along one axis, and each line's coordinate.
+def _kept(occupied: np.ndarray) -> np.ndarray:
+    """The coordinates of the lines the squeezed raster keeps along one axis.
 
-    Occupied coordinates take lines 0, 1, ... in order; a gap between two of
-    them, whether one empty line or a run of many, becomes one empty line at
-    the coordinate after the last occupied one.
+    ``occupied`` holds the occupied lines' coordinates, increasing.  Each is
+    kept, and a gap between two of them, one empty line or a run of many,
+    keeps one empty line, at the coordinate after the last occupied one.
     """
-    line_of: Dict[int, int] = {}
-    at: List[int] = []
-    for c in sorted(set(coords)):
-        if at and c != at[-1] + 1:
-            at.append(at[-1] + 1)
-        line_of[c] = len(at)
-        at.append(c)
-    return line_of, at
-
-
-def _kept_lines(occupied: np.ndarray) -> np.ndarray:
-    """Indices of the lines the squeezed raster keeps, given each line's occupancy.
-
-    The numpy form of ``_lines``: every occupied line, and the line after
-    each occupied one up to the last, so a gap keeps its first empty line.
-    """
-    keep = occupied.copy()
-    keep[1:] |= occupied[:-1]
-    lines = np.flatnonzero(keep)
-    return lines[:-1] if lines.size and not occupied[lines[-1]] else lines
+    if not occupied.size or occupied[0] + (occupied.size - 1) == occupied[-1]:
+        return occupied  # no gap at all
+    before = occupied[:-1]
+    # c[i + 1] - 1, unlike c[i + 1] - c[i], cannot leave int64
+    kept = np.concatenate((occupied, before[occupied[1:] - 1 != before] + 1))
+    kept.sort()
+    return kept
 
 
 def _line_array(at: List[int]) -> np.ndarray:
-    """Increasing line coordinates as int64, or as Python ints in an object
-    array once they leave int64."""
-    if _I64_MIN <= at[0] and at[-1] <= _I64_MAX:
+    """Integers as int64, or as Python ints in an object array once they leave int64."""
+    try:
         return np.array(at, dtype=np.int64)
-    return np.array(at, dtype=object)
+    except OverflowError:
+        return np.array(at, dtype=object)
 
 
 def _shifted(lines: np.ndarray, shift: int) -> np.ndarray:
     """The increasing coordinates ``lines + shift``, typed as ``_line_array`` types them."""
     first, last = int(lines[0]) + shift, int(lines[-1]) + shift
-    if (
-        lines.dtype != object
-        and _I64_MIN <= shift <= _I64_MAX
-        and _I64_MIN <= first
-        and last <= _I64_MAX
-    ):
+    if lines.dtype != object and _I64_MIN <= min(first, shift) and max(last, shift) <= _I64_MAX:
         return lines + shift
     return _line_array((lines.astype(object) + shift).tolist())
 
 
-_EMPTY_MASK = np.zeros((0, 0), dtype=bool)
-_EMPTY_MASK.flags.writeable = False
-_NO_LINES = np.zeros(0, dtype=np.int64)
-_NO_LINES.flags.writeable = False
+# (read-only mask, x of each column, y of each row); the empty one has nothing to write
+_Raster = Tuple[np.ndarray, np.ndarray, np.ndarray]
+_EMPTY: _Raster = (np.zeros((0, 0), dtype=bool), np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+
+def _squeezed(mask: np.ndarray, ox: int, oy: int) -> _Raster:
+    """The raster of the pixels (ox + col, oy + row) set in a 2-D mask.
+
+    Raises ValueError, before copying the kept lines, when the squeezed box
+    exceeds ``MAX_RASTER_CELLS``.
+    """
+    # logical_or.reduce is any() without its wrapper, which costs small masks
+    rows = _kept(np.logical_or.reduce(mask, axis=1).nonzero()[0])
+    if not rows.size:
+        return _EMPTY
+    cols = _kept(np.logical_or.reduce(mask, axis=0).nonzero()[0])
+    _check_raster_size(cols.size, rows.size)
+    # a tight box with nothing to squeeze stays a view until the one copy
+    box = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    if box.shape != (rows.size, cols.size):
+        box = mask[rows][:, cols]
+    # unlike a plain copy, the comparison stores 0 or 1 in every byte
+    squeezed = np.not_equal(box, False)
+    squeezed.flags.writeable = False
+    return squeezed, _shifted(cols, ox), _shifted(rows, oy)
+
+
+def _raster(xs: np.ndarray, ys: np.ndarray) -> _Raster:
+    """The raster of the pixels (xs[i], ys[i]), typed as ``_line_array`` types
+    them; repeats are allowed.
+
+    When the tight box has at most 64 cells per coordinate and is within
+    ``MAX_RASTER_CELLS``, the pixels are written into a mask of the box for
+    ``_squeezed``, which is fast and takes memory linear in the input.  A
+    larger box may squeeze to far less, so otherwise each axis's coordinates
+    are sorted and squeezed, and only the squeezed box is allocated, after
+    the limit check.
+    """
+    if not xs.size:
+        return _EMPTY
+    x0, y0 = int(np.minimum.reduce(xs)), int(np.minimum.reduce(ys))
+    width, height = int(np.maximum.reduce(xs)) - x0 + 1, int(np.maximum.reduce(ys)) - y0 + 1
+    if width * height <= min(64 * xs.size, MAX_RASTER_CELLS):
+        box = np.zeros((height, width), dtype=bool)
+        box[(ys - y0).astype(np.intp, copy=False), (xs - x0).astype(np.intp, copy=False)] = True
+        return _squeezed(box, x0, y0)
+    cols, rows = _kept(np.unique(xs)), _kept(np.unique(ys))
+    _check_raster_size(cols.size, rows.size)
+    mask = np.zeros((rows.size, cols.size), dtype=bool)
+    mask[rows.searchsorted(ys), cols.searchsorted(xs)] = True
+    mask.flags.writeable = False
+    return mask, cols, rows
 
 
 class DigitalObject:
@@ -155,87 +185,71 @@ class DigitalObject:
     ``operator.index`` accepts, such as numpy integers); floats, strings
     and bools raise TypeError.
 
-    The object holds its squeezed raster (see the module docstring): a
-    read-only mask, the x of each of its columns and the y of each of its
-    rows, all three canonical for the pixels, so ``==`` and ``hash``
-    compare them.  ``len``, ``bool``, iteration, ``bounding_box`` and every
-    counter read them directly.  ``pixels`` and ``in`` use the frozenset of
-    pixel tuples, which ``DigitalObject(pixels)`` keeps and ``from_mask``
-    builds on first use (about 140 bytes per pixel).  Construction raises
+    The object is its squeezed raster (see the module docstring) and holds
+    nothing else: a read-only mask, the x of each of its columns and the y
+    of each of its rows, all three canonical for the pixels, so ``==`` and
+    ``hash`` compare them.  ``len``, ``bool``, iteration, ``bounding_box``,
+    ``in`` and every counter read them directly; ``pixels`` builds a new
+    frozenset of pixel tuples on each call.  Construction raises
     ValueError, before the raster is allocated, when the squeezed box
     exceeds ``MAX_RASTER_CELLS``.
     """
 
-    __slots__ = ("_mask", "_xs", "_ys", "_pixels")
+    __slots__ = ("_mask", "_xs", "_ys")
 
     def __init__(self, pixels: Iterable[Pixel] = ()):
-        pixels = frozenset(_pixel(x, y) for x, y in pixels)
-        self._pixels: Optional[frozenset] = pixels
-        if not pixels:
-            self._mask, self._xs, self._ys = _EMPTY_MASK, _NO_LINES, _NO_LINES
-            return
-        # two list passes, unlike zip(*pixels), allocate no container per
-        # pixel that the garbage collector would have to count
-        xs = [p[0] for p in pixels]
-        ys = [p[1] for p in pixels]
-        col_of, cols = _lines(xs)
-        row_of, rows = _lines(ys)
-        _check_raster_size(len(cols), len(rows))
-        mask = np.zeros((len(rows), len(cols)), dtype=bool)
-        n = len(xs)
-        row_index = np.fromiter(map(row_of.__getitem__, ys), np.intp, n)
-        mask[row_index, np.fromiter(map(col_of.__getitem__, xs), np.intp, n)] = True
-        mask.flags.writeable = False
-        self._mask, self._xs, self._ys = mask, _line_array(cols), _line_array(rows)
+        xs, ys = [], []
+        for x, y in pixels:
+            # a plain int passes _pixel unchanged, so only others take the call
+            if x.__class__ is not int or y.__class__ is not int:
+                x, y = _pixel(x, y)
+            xs.append(x)
+            ys.append(y)
+        self._mask, self._xs, self._ys = _raster(_line_array(xs), _line_array(ys))
 
     @classmethod
     def _from_raster(cls, mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> "DigitalObject":
         """The object whose squeezed raster is (mask, xs, ys), taken as it is."""
-        mask.flags.writeable = False
         obj = cls.__new__(cls)
-        obj._mask, obj._xs, obj._ys, obj._pixels = mask, xs, ys, None
+        obj._mask, obj._xs, obj._ys = mask, xs, ys
         return obj
+
+    @classmethod
+    def _from_coords(cls, xs: np.ndarray, ys: np.ndarray) -> "DigitalObject":
+        """The object of the pixels (xs[i], ys[i]), as ``_raster`` takes them, unchecked."""
+        return cls._from_raster(*_raster(xs, ys))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray, origin: Pixel = (0, 0)) -> "DigitalObject":
         """The object whose pixel (ox + col, oy + row) is set where mask[row, col] is.
 
         ``mask`` must be 2-D; it is read as booleans, squeezed and copied, so
-        later writes to it do not reach the object.  A mask with nothing to
-        squeeze is copied in one pass over its tight box.  An all-false or
-        empty mask gives the empty object.  Raises ValueError, before the
-        copy, when the squeezed box exceeds ``MAX_RASTER_CELLS``.
+        later writes to it do not reach the object.  An all-false or empty
+        mask gives the empty object.  Raises ValueError, before the copy,
+        when the squeezed box exceeds ``MAX_RASTER_CELLS``.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError(f"mask must be 2-D, got {mask.ndim}-D")
         ox, oy = origin
         ox, oy = _pixel(ox, oy)
-        rows = _kept_lines(mask.any(axis=1))
-        if rows.size == 0:
-            return cls()
-        cols = _kept_lines(mask.any(axis=0))
-        _check_raster_size(cols.size, rows.size)
-        r0, r1 = rows[0], rows[-1] + 1
-        c0, c1 = cols[0], cols[-1] + 1
-        if rows.size == r1 - r0 and cols.size == c1 - c0:
-            squeezed = mask[r0:r1, c0:c1]
-        else:
-            squeezed = mask[np.ix_(rows, cols)]
-        # the comparison copies, and unlike a plain copy it stores 0 or 1 in
-        # every byte, also when the mask is a bool view of other bytes
-        squeezed = np.not_equal(squeezed, False)
-        return cls._from_raster(squeezed, _shifted(cols, ox), _shifted(rows, oy))
+        return cls._from_raster(*_squeezed(mask, ox, oy))
 
     @property
     def pixels(self) -> frozenset:
-        if self._pixels is None:
-            self._pixels = frozenset(self)
-        return self._pixels
+        """A new frozenset of the pixel tuples, built on each call."""
+        return frozenset(self)
 
     def __contains__(self, p: object) -> bool:
         p = _member(p)
-        return p is not None and p in self.pixels
+        if p is None or not self:
+            return False
+        x, y = p
+        xs, ys = self._xs, self._ys
+        if not (xs[0] <= x <= xs[-1] and ys[0] <= y <= ys[-1]):
+            return False
+        col, row = xs.searchsorted(x), ys.searchsorted(y)
+        return xs[col] == x and ys[row] == y and bool(self._mask[row, col])
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._mask))

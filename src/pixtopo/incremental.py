@@ -27,7 +27,7 @@ from typing import Dict, Iterable, NamedTuple, Tuple
 
 import numpy as np
 
-from .grid import MAX_RASTER_CELLS, DigitalObject, Pixel, _member
+from .grid import DigitalObject, Pixel, _member
 from .invariants import _BLOCK_MASK, _TUNNEL_MASKS, InvariantReport, tunnels_by_formula
 
 
@@ -261,12 +261,15 @@ class Tracker:
         page = self._pages.get((px >> 3) * _PAGE_STRIDE + (py >> 3))
         return page is not None and bool(page[(py & 7) << 3 | (px & 7)] & 8)
 
-    def _pixel_coords(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The x and y coordinates of every pixel, decoded from the pages.
+    def as_object(self) -> DigitalObject:
+        """The current pixel set as an immutable DigitalObject.
 
         A pixel sets bit 8 at its lower-left corner, so the entries of all
         pages, laid end to end, hold a pixel at each flat index f with bit 8
-        set: on page f >> 6, row f >> 3 & 7 and column f & 7.
+        set: on page f >> 6, row f >> 3 & 7 and column f & 7.  The decoded
+        x and y arrays go to ``DigitalObject._from_coords``; no pixel tuple
+        is built.  Raises ValueError, as ``DigitalObject(pixels)`` does, when
+        the squeezed box exceeds ``MAX_RASTER_CELLS``; the tracker is kept.
         """
         pages = self._pages
         keys = np.fromiter(pages, dtype=np.int64, count=len(pages))
@@ -275,34 +278,9 @@ class Tracker:
         entries = np.frombuffer(b"".join(pages.values()), dtype=np.int64)
         flat = np.flatnonzero(entries & 8)
         page = flat >> 6
-        return cols[page] * 8 + (flat & 7), rows[page] * 8 + (flat >> 3 & 7)
-
-    def as_object(self) -> DigitalObject:
-        """The current pixel set as an immutable DigitalObject.
-
-        When each side of the tight box is shorter than twice the pixel
-        count and the box is within ``MAX_RASTER_CELLS``, the pixels are
-        written into a mask of the box, which ``DigitalObject.from_mask``
-        squeezes, and no pixel tuple is built.  A longer side must hold a
-        run of two or more empty lines, and a larger box may squeeze to
-        within the limit, so otherwise the pixels go to
-        ``DigitalObject(pixels)``, which squeezes them without allocating
-        the box.  Raises ValueError, as both constructors do, when the
-        squeezed box exceeds ``MAX_RASTER_CELLS``; the tracker is left as
-        it was.
-        """
-        count = self.p
-        if not count:
-            return DigitalObject()
-        xs, ys = self._pixel_coords()
-        x0, y0 = int(xs.min()), int(ys.min())
-        width = int(xs.max()) - x0 + 1
-        height = int(ys.max()) - y0 + 1
-        if width < 2 * count and height < 2 * count and width * height <= MAX_RASTER_CELLS:
-            mask = np.zeros((height, width), dtype=bool)
-            mask[ys - y0, xs - x0] = True
-            return DigitalObject.from_mask(mask, (x0, y0))
-        return DigitalObject(zip(xs.tolist(), ys.tolist()))
+        return DigitalObject._from_coords(
+            cols[page] * 8 + (flat & 7), rows[page] * 8 + (flat >> 3 & 7)
+        )
 
     def stats(self) -> TrackerStats:
         """Page, corner and union-find figures, computed now from the state.

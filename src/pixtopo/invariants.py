@@ -9,7 +9,12 @@ point.  The counters are tied together by
     t = v - 2(p + c - h) + b        (c = number of 0-components)
 
 which ``analyze`` evaluates alongside the directly counted t as a built-in
-consistency check.
+consistency check.  With v, b, t and p from the 2x2 census, the identity
+says c0 - h = (v + b - t) / 2 - p, Gray's census Euler number
+E8 = (Q1 - Q3 - 2 QD) / 4 (Q1, Q3, QD: windows holding one pixel, three
+pixels, a diagonal pair), so ``consistent`` checks the labelled c0 - h
+against the census.  It cannot see c1, nor an error moving c0 and h alike;
+so h is labelled, never derived from the census, which would void the check.
 
 Every counter reads pixels the same way: ``rasterize`` pads the object's
 squeezed raster (see ``grid.DigitalObject``) by one empty cell on each
@@ -237,7 +242,8 @@ def analyze_batch(masks: np.ndarray) -> List[InvariantReport]:
     if n == 0:
         return []
     stack = np.zeros((n, height + 2, width + 2), dtype=bool)
-    stack[:, 1:-1, 1:-1] = masks
+    # unlike a plain copy, the comparison stores 0 or 1 in every byte
+    np.not_equal(masks, False, out=stack[:, 1:-1, 1:-1])
     p = np.count_nonzero(stack, axis=(1, 2))
     v, b, t = _census(stack, axis=(1, 2))
     c0 = _stack_counts(stack, _STRUCT8)
@@ -258,9 +264,10 @@ def is_k_separating(m: DigitalObject, s: DigitalObject, adjacency: Adjacency) ->
 
     Requires m to be a subset of s; an empty remainder counts as connected.
     """
-    if not m.pixels <= s.pixels:
+    removed, pixels = m.pixels, s.pixels
+    if not removed <= pixels:
         raise ValueError("m must be a subset of s")
-    return count_components(DigitalObject(s.pixels - m.pixels), adjacency) >= 2
+    return count_components(DigitalObject(pixels - removed), adjacency) >= 2
 
 
 def has_separating_tunnels(obj: DigitalObject) -> bool:

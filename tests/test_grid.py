@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pixtopo import Adjacency, DigitalObject, Tracker, analyze, corners
+from pixtopo import Adjacency, DigitalObject, Tracker, analyze, analyze_batch, corners
+from pixtopo.incremental import COORD_BOUND
 
 coords = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
@@ -139,6 +140,7 @@ def test_from_mask_reads_a_bool_view_of_other_bytes():
     expected = DigitalObject([(0, 0), (1, 0), (1, 1)])
     assert obj == expected and hash(obj) == hash(expected)
     assert analyze(obj) == analyze(expected)
+    assert analyze_batch(mask[None]) == [analyze(expected)]
 
 
 def test_mask_backed_iteration_yields_plain_ints():
@@ -179,6 +181,71 @@ _PROBES = [
 @pytest.mark.parametrize("probe, member", _PROBES)
 def test_membership_is_the_same_in_object_and_tracker(container, probe, member):
     assert (probe in container([(1, 0)])) is member
+
+
+# where the first line of an axis goes: near the origin, at the int64
+# edges (so one axis mixes int64 and wider coordinates) or far beyond them
+_axis_starts = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.sampled_from([2**63 - 12, -(2**63) - 3, 10**30, -(10**30)]),
+)
+
+
+@st.composite
+def gappy_pixel_sets(draw):
+    """Up to 20 pixels on a 7x7 lattice whose consecutive lines lie 1 to 4
+    apart: adjacent, one empty line between, or a run of two or three."""
+    cells = draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20))
+    at = []
+    for _ in range(2):
+        steps = draw(st.lists(st.integers(1, 4), min_size=6, max_size=6))
+        at.append(np.cumsum([draw(_axis_starts)] + steps, dtype=object).tolist())
+    return {(at[0][x], at[1][y]) for x, y in cells}
+
+
+def _probes(pixels):
+    """Every pixel and the 24 points within two lines of it on both axes."""
+    return {(x + dx, y + dy) for x, y in pixels for dx in range(-2, 3) for dy in range(-2, 3)}
+
+
+def _assert_is_the_set(o, pixels):
+    assert list(o) == sorted(pixels, key=lambda p: (p[1], p[0]))
+    assert o.pixels == pixels and len(o) == len(pixels) and bool(o) == bool(pixels)
+    assert all((q in o) == (q in pixels) for q in _probes(pixels))
+    if pixels:
+        xs, ys = [x for x, _ in pixels], [y for _, y in pixels]
+        assert o.bounding_box() == ((min(xs), min(ys)), (max(xs), max(ys)))
+    else:
+        assert o.bounding_box() is None
+
+
+@given(gappy_pixel_sets(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_object_behaves_as_its_pixel_set(pixels, rnd):
+    listed = list(pixels) * 2
+    rnd.shuffle(listed)
+    o = DigitalObject(listed)
+    _assert_is_the_set(o, pixels)
+    same = DigitalObject(reversed(listed))
+    assert o == same and hash(o) == hash(same)
+    if pixels:
+        (x0, y0), (x1, y1) = o.bounding_box()
+        mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+        for x, y in pixels:
+            mask[y - y0, x - x0] = True
+        m = DigitalObject.from_mask(mask, origin=(x0, y0))
+        assert m == o and hash(m) == hash(o)
+        _assert_is_the_set(m, pixels)
+        # one pixel less, or one more next to the box, is another object
+        fewer = pixels - {min(pixels)}
+        assert DigitalObject(fewer) != o
+        assert DigitalObject(pixels | {(x1 + 1, y1)}) != o
+    if all(abs(c) < COORD_BOUND for p in pixels for c in p):
+        order = sorted(pixels)
+        rnd.shuffle(order)
+        t = Tracker(order).as_object()
+        assert t == o and hash(t) == hash(o)
+        _assert_is_the_set(t, pixels)
 
 
 def _step(p, q):

