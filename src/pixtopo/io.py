@@ -33,7 +33,7 @@ class ParseError(ValueError):
 
 
 def parse_ascii_grid(text: str) -> DigitalObject:
-    """Parse an ASCII grid; lines may differ in length (short lines padded).
+    """Parse an ASCII grid; lines may differ in length, missing cells are background.
 
     Any character outside '#1' / '.0 ' raises ParseError naming the 1-based
     line and column.

@@ -4,9 +4,9 @@
 ``subset_reports`` yields the report of every subset of a small grid,
 analyzed in stacks of ``SUBSET_CHUNK`` masks by ``invariants.analyze_batch``:
 one census and three labellings per stack instead of per subset.  It is the
-only enumeration of subsets.  ``random_sweep`` replays each seeded random
-object into a Tracker, one pixel at a time, and analyzes the objects in
-stacks by the same batch engine.
+only enumeration of subsets.  ``replay`` fills a new Tracker and counts
+its deltas; ``random_sweep`` replays each seeded random object, shuffled,
+and analyzes the objects in stacks by the same batch engine.
 
 Analysis, generation and case classification are looked up on their modules
 at call time, so wrappers installed on those module attributes see every call.
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import generate, incremental, invariants
 from .grid import Pixel
-from .incremental import CaseId, InsertionDelta, Tracker
+from .incremental import CaseId, Tracker
 from .invariants import InvariantReport
 
 _TRACKED = attrgetter("p", "v", "c0", "h", "b", "t_direct")
@@ -50,22 +50,14 @@ def subset_reports(width: int, height: int) -> Iterator[InvariantReport]:
         yield from invariants.analyze_batch(masks.reshape(-1, height, width))
 
 
-def replay(tracker: Tracker, pixels: Iterable[Pixel], cases: Counter) -> Iterator[InsertionDelta]:
-    """Insert pixels into the tracker in order and yield each insertion's delta.
-
-    The cases are added to ``cases`` when the replay ends, after the last
-    pixel is in (or when it is closed or raises): a run repeats a few dozen
-    distinct deltas, so each is classified once, with its count.
-    """
-    deltas: Counter = Counter()
-    try:
-        for pixel in pixels:
-            delta = tracker.add_pixel(pixel)
-            deltas[delta] += 1
-            yield delta
-    finally:
-        for delta, count in deltas.items():
-            cases[incremental.classify_case(delta)] += count
+def replay(pixels: Iterable[Pixel], cases: Counter) -> Tracker:
+    """A new Tracker with the pixels inserted in order.  Their cases are added
+    to ``cases`` once the last pixel is in, so a raising insertion adds none;
+    a run repeats a few dozen distinct deltas, each classified once."""
+    tracker = Tracker()
+    for delta, count in Counter(map(tracker.add_pixel, pixels)).items():
+        cases[incremental.classify_case(delta)] += count
+    return tracker
 
 
 def agrees(snapshot: InvariantReport, report: InvariantReport) -> bool:
@@ -97,11 +89,8 @@ def random_sweep(
             # int each where a pixel tuple would take three objects
             cells = np.flatnonzero(mask).tolist()
             rng.shuffle(cells)
-            tracker = Tracker()
             pixels = ((cell % width, cell // width) for cell in cells)
-            for _ in replay(tracker, pixels, cases):
-                pass
-            snapshots.append(tracker.snapshot())
+            snapshots.append(replay(pixels, cases).snapshot())
         yield from zip(invariants.analyze_batch(np.stack(masks)), snapshots)
 
 

@@ -29,6 +29,7 @@ from pixtopo import (
     Tracker,
     analyze,
     analyze_batch,
+    classify_case,
     count_tunnels_direct,
     generate_blockfree,
     generate_curve,
@@ -37,7 +38,7 @@ from pixtopo import (
     is_simple_arc,
     is_simple_closed_curve,
 )
-from pixtopo.verify import agrees, case_table, replay, subset_reports
+from pixtopo.verify import agrees, case_table, subset_reports
 
 
 def _line(num, ok, text):
@@ -98,7 +99,9 @@ def insertion_sweep():
             rank[y, x] = i
         reports = analyze_batch(rank <= np.arange(length)[:, None, None])
         tracker = Tracker()
-        for step, delta in enumerate(replay(tracker, cells[:length], cases), 1):
+        for step, pixel in enumerate(cells[:length], 1):
+            delta = tracker.add_pixel(pixel)
+            cases[classify_case(delta)] += 1
             if (
                 delta.db < 0
                 or (delta.dh > 0 and delta.dc > 0)

@@ -8,11 +8,12 @@ it is, and check its targets.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from pixtopo import grid, incremental, invariants
+from pixtopo import grid, incremental, invariants, verify
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -49,12 +50,14 @@ def test_tracer_records_spans_and_restores_the_originals():
         obj = grid.DigitalObject([(0, 0), (1, 1)])
         invariants.analyze(obj)
         incremental.Tracker([(0, 0), (1, 1)]).as_object()
+        verify.replay([(0, 0), (1, 1)], Counter())
     finally:
         tracer.uninstall()
     calls = {name: count for name, (_, count) in tracer.summary(1).items()}
     assert calls["grid.object_build"] == 1
     assert calls["invariants.analyze"] == 1
-    assert calls["incremental.add_pixel"] == 2
+    assert calls["incremental.add_pixel"] == 4
+    assert calls["incremental.classify_case"] == 2
     assert calls["incremental.as_object"] == 1
     assert calls[spans.LABEL] == 3
     for owner, attr, original in originals:

@@ -5,11 +5,14 @@ and writers, and demo 05 asserts that P1, P4 and ASCII round-trip.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pixtopo import CaseId, incremental
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -28,3 +31,9 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_demo_02_fails_on_an_unmatched_case(monkeypatch):
+    demo = runpy.run_path(str(ROOT / "demos" / "02_exhaustive_verification.py"))
+    monkeypatch.setattr(incremental, "classify_case", lambda delta: CaseId.UNMATCHED)
+    assert demo["main"]() == 1

@@ -549,8 +549,9 @@ def test_compact_tracker_object_builds_no_pixel_set():
 
 def test_as_object_of_far_apart_pixels_allocates_no_line_array():
     # two pixels 5 * 10**7 columns apart: the box is within the raster limit,
-    # but the tuple constructor squeezes it, and as_object must not mark its
-    # columns
+    # but it holds far more than 64 cells per pixel, so the coordinate
+    # constructor sorts and squeezes the coordinates, and as_object must not
+    # mark the box's columns
     tr = Tracker([(0, 0), (5 * 10**7, 0)])
     tracemalloc.start()
     try:

@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from pixtopo import DigitalObject, SplitMix64, Tracker, analyze, generate_random, incremental
+from pixtopo import (
+    CaseId, DigitalObject, DuplicatePixelError, SplitMix64, Tracker, analyze, generate_random,
+    incremental,
+)
 from pixtopo.generate import _SHUFFLE_BLOCK
 from pixtopo.verify import (
     SUBSET_CHUNK, agrees, case_table, random_sweep, replay, subset_reports,
@@ -45,9 +48,9 @@ def test_shuffle_matches_the_inline_loop(seed, length):
 
 def test_replay_tallies_every_insertion():
     obj = generate_random(12, 9, 0.6, seed=11)
-    tracker, cases = Tracker(), Counter()
-    deltas = list(replay(tracker, obj, cases))
-    assert len(deltas) == len(obj) == sum(cases.values())
+    cases = Counter()
+    tracker = replay(obj, cases)
+    assert tracker.p == len(obj) == sum(cases.values())
     assert agrees(tracker.snapshot(), analyze(obj))
 
 
@@ -60,11 +63,20 @@ def test_replay_classifies_each_distinct_delta_once(monkeypatch):
 
     monkeypatch.setattr(incremental, "classify_case", recording)
     obj = generate_random(30, 30, 0.5, seed=7)
+    stepwise = Tracker()
+    deltas = [stepwise.add_pixel(pixel) for pixel in obj]
     cases = Counter()
-    deltas = list(replay(Tracker(), obj, cases))
+    replay(obj, cases)
     assert sorted(classified) == sorted(set(deltas))
     assert sum(cases.values()) == len(obj)
     assert cases == Counter(real_classify(delta) for delta in deltas)
+
+
+def test_replay_tallies_nothing_when_an_insertion_raises():
+    cases = Counter({CaseId.C1A: 2})
+    with pytest.raises(DuplicatePixelError):
+        replay([(0, 0), (1, 0), (0, 0), (5, 5)], cases)
+    assert cases == Counter({CaseId.C1A: 2})
 
 
 def test_random_sweep_stacks_match_the_inline_loop():
