@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
+from itertools import chain
 from operator import index
 from typing import Dict, Iterable, NamedTuple, Tuple
 
@@ -124,31 +125,20 @@ def classify_case(delta: InsertionDelta) -> CaseId:
 
 
 # Tracker coordinates must stay within (-COORD_BOUND, COORD_BOUND), so a
-# lattice point (x, y), a corner of some pixel, has |x|, |y| <= COORD_BOUND.
+# lattice point (x, y), a corner of some pixel, has |x|, |y| <= COORD_BOUND,
+# and ``as_object`` decodes every page key and pixel within int64.
 COORD_BOUND = 1 << 33
 
 # The tracker keeps its lattice points in pages of 8x8: point (x, y) is entry
-# (y & 7) * 8 + (x & 7) of the page keyed (x >> 3) * _PAGE_STRIDE + (y >> 3).
-# The page key is one integer, so lookups avoid tuple hashing on the hot
-# path.  An int hashes to itself, and a dict starts probing at the hash's low
-# bits; a power-of-two stride would leave those bits to the page row alone,
-# so every page of a row would start at the same slot.  The odd golden-ratio
-# constant added to the stride spreads the page column over the low bits as
-# well.  Page rows lie within +-_PAGE_OFFSET, less than half the stride, so
-# keys of distinct pages never alias, and key + _PAGE_OFFSET splits into
-# column and row by one floor division; at +-COORD_BOUND it stays within
-# int64, so ``as_object`` decodes every key in numpy.
-_PAGE_OFFSET = COORD_BOUND >> 3
-_PAGE_STRIDE = 2 * _PAGE_OFFSET + 0x9E3779B9
-
-# A fresh page: 64 empty lattice points.  An entry holds the point's
-# occupancy mask in bits 0..3 and its component's union-find id from bit 4.
+# (y & 7) * 8 + (x & 7) of the page keyed (x >> 3, y >> 3).  A fresh page
+# holds 64 empty lattice points; an entry holds the point's occupancy mask in
+# bits 0..3 and its component's union-find id from bit 4.
 _BLANK_PAGE = array("q", bytes(8 * 64))
 
 
-def _slot(pages: Dict[int, array], x: int, y: int) -> Tuple[array, int]:
+def _slot(pages: Dict[Tuple[int, int], array], x: int, y: int) -> Tuple[array, int]:
     """The page holding lattice point (x, y), made blank if absent, and its index."""
-    key = (x >> 3) * _PAGE_STRIDE + (y >> 3)
+    key = (x >> 3, y >> 3)
     page = pages.get(key)
     if page is None:
         page = pages[key] = _BLANK_PAGE[:]
@@ -185,14 +175,13 @@ _GAIN_UR = _corner_gains(1)
 
 # An insertion's delta depends only on the summed corner gains and on how
 # many components the pixel merges, so each (gains, merges) pair is worked
-# out once and its entry (dv, dc, db, dt, delta) reused; at most a few
-# hundred pairs exist.  Deltas are immutable, so sharing them is safe.
-_Transition = Tuple[int, int, int, int, InsertionDelta]
-_TRANSITIONS: Dict[int, _Transition] = {}
+# out once and its delta reused; at most a few hundred pairs exist.  Deltas
+# are immutable, so sharing them is safe.
+_TRANSITIONS: Dict[int, InsertionDelta] = {}
 
 
-def _transition(packed: int, merged: int, pixel: Pixel) -> _Transition:
-    """The entry for summed corner gains ``packed`` and ``merged`` merges."""
+def _transition(packed: int, merged: int, pixel: Pixel) -> InsertionDelta:
+    """The delta for summed corner gains ``packed`` and ``merged`` merges."""
     dv = packed & 255
     dt = ((packed >> 8) & 255) - 4
     db = packed >> 16
@@ -203,8 +192,8 @@ def _transition(packed: int, merged: int, pixel: Pixel) -> _Transition:
         )
     dc = 1 - merged
     delta = InsertionDelta(dv, dc, dc + 1 + remainder // 2, db, dt)
-    entry = _TRANSITIONS[packed | merged << 24] = (dv, dc, db, dt, delta)
-    return entry
+    _TRANSITIONS[packed | merged << 24] = delta
+    return delta
 
 
 class TrackerStats(NamedTuple):
@@ -236,7 +225,7 @@ class Tracker:
     __slots__ = ("_pages", "_parent", "_rank", "p", "v", "b", "t", "c")
 
     def __init__(self, pixels: Iterable[Pixel] = ()):
-        self._pages: Dict[int, array] = {}
+        self._pages: Dict[Tuple[int, int], array] = {}
         self._parent: list = []
         self._rank: list = []
         self.p = 0
@@ -255,10 +244,7 @@ class Tracker:
         if pixel is None:
             return False
         px, py = pixel
-        # out-of-bound coordinates would alias the page of an in-bound pixel
-        if abs(px) >= COORD_BOUND or abs(py) >= COORD_BOUND:
-            return False
-        page = self._pages.get((px >> 3) * _PAGE_STRIDE + (py >> 3))
+        page = self._pages.get((px >> 3, py >> 3))
         return page is not None and bool(page[(py & 7) << 3 | (px & 7)] & 8)
 
     def as_object(self) -> DigitalObject:
@@ -266,15 +252,16 @@ class Tracker:
 
         A pixel sets bit 8 at its lower-left corner, so the entries of all
         pages, laid end to end, hold a pixel at each flat index f with bit 8
-        set: on page f >> 6, row f >> 3 & 7 and column f & 7.  The decoded
-        x and y arrays go to ``DigitalObject._from_coords``; no pixel tuple
-        is built.  Raises ValueError, as ``DigitalObject(pixels)`` does, when
-        the squeezed box exceeds ``MAX_RASTER_CELLS``; the tracker is kept.
+        set: on page f >> 6, row f >> 3 & 7 and column f & 7.  The pages'
+        (column, row) keys are read in the same order into one int64 array.
+        The decoded x and y arrays go to ``DigitalObject._from_coords``; no
+        pixel tuple is built.  Raises ValueError, as ``DigitalObject(pixels)``
+        does, when the squeezed box exceeds ``MAX_RASTER_CELLS``; the tracker
+        is kept.
         """
         pages = self._pages
-        keys = np.fromiter(pages, dtype=np.int64, count=len(pages))
-        cols, rows = np.divmod(keys + _PAGE_OFFSET, _PAGE_STRIDE)
-        rows -= _PAGE_OFFSET
+        keys = np.fromiter(chain.from_iterable(pages), np.int64, 2 * len(pages))
+        cols, rows = keys.reshape(-1, 2).T
         entries = np.frombuffer(b"".join(pages.values()), dtype=np.int64)
         flat = np.flatnonzero(entries & 8)
         page = flat >> 6
@@ -331,7 +318,7 @@ class Tracker:
         pages = self._pages
         lx = px & 7
         ly = py & 7
-        key = (px >> 3) * _PAGE_STRIDE + (py >> 3)
+        key = (px >> 3, py >> 3)
         p1 = pages.get(key)
         if p1 is None:
             p1 = pages[key] = _BLANK_PAGE[:]
@@ -401,10 +388,10 @@ class Tracker:
         p3[i3] = v3 & 15 | tag | 2
         p4[i4] = v4 & 15 | tag | 1
 
-        entry = _TRANSITIONS.get(packed | merged << 24)
-        if entry is None:
-            entry = _transition(packed, merged, pixel)
-        dv, dc, db, dt, delta = entry
+        delta = _TRANSITIONS.get(packed | merged << 24)
+        if delta is None:
+            delta = _transition(packed, merged, pixel)
+        dv, dc, _, db, dt = delta
         self.p += 1
         self.v += dv
         self.b += db

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .curves import CurveVerdict
-from .grid import MAX_RASTER_CELLS, Adjacency, DigitalObject
+from .grid import MAX_RASTER_CELLS, Adjacency, DigitalObject, _check_raster_size
 from .invariants import InvariantReport
 
 FORMAT_VERSION = "1"
@@ -65,10 +65,7 @@ def _writer_mask(obj: DigitalObject) -> np.ndarray:
     y0 = min(y0, 0)
     width = x1 - x0 + 1
     height = y1 - y0 + 1
-    if width * height > MAX_RASTER_CELLS:
-        raise ValueError(
-            f"image {width}x{height} exceeds the raster limit of {MAX_RASTER_CELLS} cells"
-        )
+    _check_raster_size(width, height)
     return obj._to_mask((x0, y0), (height, width))
 
 
@@ -188,7 +185,6 @@ class ReportDocument:
     source: str
     report: InvariantReport
     curves: Optional[Dict[Adjacency, CurveVerdict]] = None
-    format_version: str = FORMAT_VERSION
 
 
 def _verdict_dict(verdict: CurveVerdict) -> dict:
@@ -214,7 +210,7 @@ def emit_report(doc: ReportDocument, format: str = "text") -> str:
     if format == "json":
         payload = {
             "source": doc.source,
-            "format_version": doc.format_version,
+            "format_version": FORMAT_VERSION,
             "p": rep.p,
             "v": rep.v,
             "c0": rep.c0,

@@ -18,7 +18,7 @@ from pixtopo import (
     classify_case,
     generate_random,
 )
-from pixtopo.incremental import _PAGE_OFFSET, _PAGE_STRIDE, COORD_BOUND, TrackerStats
+from pixtopo.incremental import COORD_BOUND, TrackerStats
 from pixtopo.grid import MAX_RASTER_CELLS
 from pixtopo.invariants import _BLOCK_MASK, _TUNNEL_MASKS, _census, rasterize
 
@@ -45,8 +45,7 @@ def page_entries(tracker):
     with its entry: occupancy mask | component id << 4."""
     entries = {}
     for key, page in tracker._pages.items():
-        col, row = divmod(key + _PAGE_OFFSET, _PAGE_STRIDE)
-        row -= _PAGE_OFFSET
+        col, row = key
         for i, value in enumerate(page):
             if value:
                 entries[8 * col + i % 8, 8 * row + i // 8] = value
@@ -163,7 +162,7 @@ def test_bool_pixel_is_never_a_member():
 
 
 def test_numpy_integer_pixels_are_stored_as_int():
-    # far enough out that a numpy int64 key (x * 2**34 + ...) would overflow
+    # an int64 coordinate beyond 32 bits is stored, read back and found
     tr = Tracker([(np.int64(2**32), np.int64(-5)), (np.int32(1), np.uint8(2))])
     assert tr.as_object() == DigitalObject([(2**32, -5), (1, 2)])
     assert (2**32, -5) in tr and (1, 2) in tr
@@ -174,13 +173,15 @@ def test_membership_converts_like_add_pixel():
     assert (np.int64(1), np.int64(2)) in tr
     assert (1.0, 2) not in tr
     assert (0.5, 2) not in tr
-    # out of the coordinate bound: must not alias the key of (1, 2)
+    # out of the coordinate bound: found on no page, whatever its size
     assert (0, 2**34 + 2) not in tr
+    assert (10**30, 0) not in tr
+    assert (-(10**30), 2) not in tr
 
 
 def test_pixels_at_the_coordinate_bound_keep_distinct_keys():
-    # the top corners of (0, B - 1) and the bottom corners of (1, -B + 1)
-    # sit at the two ends of adjacent key columns
+    # pixels at the top and bottom of the coordinate bound keep their own
+    # pages and decode back to themselves
     top, bottom = COORD_BOUND - 1, -COORD_BOUND + 1
     pixels = [(0, top), (0, top - 1), (1, bottom), (-1, bottom)]
     tr = Tracker(pixels)
@@ -189,15 +190,6 @@ def test_pixels_at_the_coordinate_bound_keep_distinct_keys():
     assert all(pixel in tr for pixel in pixels)
     assert (1, top) not in tr and (0, bottom) not in tr
     assert tr.as_object() == DigitalObject(pixels)
-
-
-def test_page_keys_at_the_coordinate_bound_fit_int64():
-    # lattice points reach +-COORD_BOUND, one past the pixels' bound
-    for x in (-COORD_BOUND, COORD_BOUND):
-        for y in (-COORD_BOUND, COORD_BOUND):
-            key = (x >> 3) * _PAGE_STRIDE + (y >> 3)
-            assert -2**63 <= key + _PAGE_OFFSET < 2**63
-            assert divmod(key + _PAGE_OFFSET, _PAGE_STRIDE) == (x >> 3, (y >> 3) + _PAGE_OFFSET)
 
 
 # offsets that put the blobs of pixel_lists (coordinates -2..7) across the
@@ -517,15 +509,13 @@ def test_as_object_equals_the_replayed_pixels(pixels, rnd):
 
 
 def test_as_object_of_keys_on_both_sides_of_int64():
-    # packed as x * (2**34 + 0x9E3779B9) + y + 2**33, these two pixels fell
-    # on both sides of 2**63, where numpy would merge them as float64; their
-    # page keys fit int64, so both decode exactly into a mask
+    # two pixels side by side far out on the x axis decode exactly into a mask
     pixels = [(465021186, 0), (465021187, 0)]
     obj = Tracker(pixels).as_object()
     assert obj._mask is not None
     assert obj == DigitalObject(pixels) and list(obj) == pixels
     assert analyze(obj).consistent and len(obj) == 2
-    # just below the edge the mask path decodes the keys exactly
+    # and so do two pixels stacked one above the other
     below = [(465021186, 0), (465021186, 1)]
     obj = Tracker(below).as_object()
     assert obj._mask is not None and list(obj) == below

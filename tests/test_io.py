@@ -176,7 +176,9 @@ def test_writers_start_negative_objects_at_their_corner(cells):
     lambda o: to_pbm(o, binary=False),
 ])
 def test_writers_refuse_oversized_images(write):
-    with pytest.raises(ValueError, match="exceeds the raster limit"):
+    with pytest.raises(
+        ValueError, match=r"^box 20001x20001 exceeds the raster limit of 100000000 cells$"
+    ):
         write(DigitalObject([(0, 0), (20_000, 20_000)]))
 
 
