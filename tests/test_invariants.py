@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -599,3 +600,38 @@ def test_analyze_batch_returns_plain_ints():
     counters = ("p", "v", "c0", "c1", "h", "b", "t_direct", "t_formula")
     assert all(type(getattr(rep, key)) is int for key in counters)
     assert type(rep.consistent) is bool
+
+
+# --- the labeller ------------------------------------------------------------
+
+class _FindsNothing:
+    def __init__(self, path, *loader_details):
+        pass
+
+    def find_spec(self, fullname, target=None):
+        return None
+
+
+def test_a_scipy_without_the_compiled_labeller_fails_at_the_first_labelling(monkeypatch):
+    monkeypatch.delitem(sys.modules, invariants._NI_LABEL, raising=False)
+    monkeypatch.setattr(invariants, "FileFinder", _FindsNothing)
+    monkeypatch.setattr(invariants, "ndi", type(invariants.ndi)())
+    with pytest.raises(ModuleNotFoundError, match="'scipy.ndimage._ni_label'") as raised:
+        analyze(DigitalObject(DIAMOND))
+    assert raised.value.name == invariants._NI_LABEL
+    assert invariants._NI_LABEL not in sys.modules
+
+
+def test_without_scipy_the_first_labelling_raises(monkeypatch):
+    for name in ("scipy", "scipy.ndimage", invariants._NI_LABEL):
+        monkeypatch.setitem(sys.modules, name, None)  # as if not installed
+    monkeypatch.setattr(invariants, "ndi", type(invariants.ndi)())
+    diamond = DigitalObject(DIAMOND)
+    assert count_vertices(diamond) == 12
+    with pytest.raises(ModuleNotFoundError, match="'scipy'"):
+        analyze(diamond)
+
+
+def test_the_labeller_stand_in_has_only_label():
+    with pytest.raises(AttributeError):
+        type(invariants.ndi)().find_objects
