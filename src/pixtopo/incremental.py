@@ -12,10 +12,13 @@ counter identity
 so every snapshot doubles as a consistency check: if the derived value is
 negative or the parity is off, the tracker state is corrupt.
 
-Each insertion also yields its change vector (dv, dc, dh, db, dt), which
-``classify_case`` maps onto a fixed table of insertion cases keyed by the
-(dc, dh, db) signature; the case ids exist for auditing and statistics, not
-for the update itself.
+Each insertion also yields its change vector (dv, dc, dh, db, dt), looked
+up in a table closed at import over all 401 pairs of neighbour pattern and
+merge count; a key outside it is a state no object reaches, and raises
+TrackerCorruptionError before any counter changes.  ``classify_case`` maps a
+delta onto a fixed table of insertion cases keyed by the (dc, dh, db)
+signature; the case ids exist for auditing and statistics, not for the
+update itself.
 """
 
 from __future__ import annotations
@@ -145,55 +148,41 @@ def _slot(pages: Dict[Tuple[int, int], array], x: int, y: int) -> Tuple[array, i
     return page, (y & 7) << 3 | (x & 7)
 
 
-def _corner_gains(slot: int) -> Tuple[int, ...]:
-    """Packed (dv, dt + 1, db) for setting ``slot`` in a corner of mask m.
+def _insertion_table() -> Dict[int, InsertionDelta]:
+    """The delta of every insertion, keyed as ``add_pixel`` keys it.
 
-    Entry m holds dv | (dt + 1) << 8 | db << 16: the corner is a new vertex
-    when m is empty, a 2x2 square holding one diagonal pair (a tunnel mask)
-    counts towards t as it appears or disappears, and the block mask is a
-    block.  The sum over a pixel's four corners unpacks with dt offset by
-    4; no field can carry into the next, since each stays within 0..8.
+    For each pattern of occupied 8-neighbours, the census codes (SW=1, SE=2,
+    NW=4, NE=8) of the pixel's lower-left, lower-right, upper-left and
+    upper-right corners, before and after it fills slot 8, 4, 2 and 1 of
+    them, give dv (corners that were empty), db (corners that become blocks)
+    and dt; dh follows from the identity.  The occupied corners form as many
+    groups as there are occupied corners, less the edge neighbours that join
+    two of them, plus one when all four close a ring; the pixel merges from
+    1 to that many components, or 0 when it has no neighbour.
     """
-    gains = []
-    for m in range(16):
-        n = m | slot
-        dv = 1 if m == 0 else 0
-        dt = (n in _TUNNEL_MASKS) - (m in _TUNNEL_MASKS)
-        db = 1 if n == _BLOCK_MASK else 0
-        gains.append(dv | (dt + 1) << 8 | db << 16)
-    return tuple(gains)
-
-
-# The pixel occupies slot 8/4/2/1 at its lower-left/lower-right/upper-left/
-# upper-right corner: the census's SW/SE/NW/NE layout, so a corner mask is the
-# census code at that lattice point and the tables share its tunnel and block
-# masks.  add_pixel sums one entry of each table per insertion.
-_GAIN_LL = _corner_gains(8)
-_GAIN_LR = _corner_gains(4)
-_GAIN_UL = _corner_gains(2)
-_GAIN_UR = _corner_gains(1)
-
-# An insertion's delta depends only on the summed corner gains and on how
-# many components the pixel merges, so each (gains, merges) pair is worked
-# out once and its delta reused; at most a few hundred pairs exist.  Deltas
-# are immutable, so sharing them is safe.
-_TRANSITIONS: Dict[int, InsertionDelta] = {}
-
-
-def _transition(packed: int, merged: int, pixel: Pixel) -> InsertionDelta:
-    """The delta for summed corner gains ``packed`` and ``merged`` merges."""
-    dv = packed & 255
-    dt = ((packed >> 8) & 255) - 4
-    db = packed >> 16
-    remainder = dt - dv - db
-    if remainder & 1:
-        raise TrackerCorruptionError(
-            f"odd tunnel/vertex/block change at {pixel}: dt={dt} dv={dv} db={db}"
+    table = {}
+    for pattern in range(256):
+        sw, s, se, w, e, nw, n, ne = (pattern >> k & 1 for k in range(8))
+        before = (
+            sw | s << 1 | w << 2, s | se << 1 | e << 3,
+            w | nw << 2 | n << 3, e << 1 | n << 2 | ne << 3,
         )
-    dc = 1 - merged
-    delta = InsertionDelta(dv, dc, dc + 1 + remainder // 2, db, dt)
-    _TRANSITIONS[packed | merged << 24] = delta
-    return delta
+        after = (before[0] | 8, before[1] | 4, before[2] | 2, before[3] | 1)
+        dv = before.count(0)
+        db = after.count(_BLOCK_MASK)
+        dt = sum(m in _TUNNEL_MASKS for m in after) - sum(m in _TUNNEL_MASKS for m in before)
+        groups = 4 - dv - (s + e + n + w) + (s & e & n & w)
+        key = before[0] | before[1] << 4 | before[2] << 8 | before[3] << 12
+        for merged in range(1, groups + 1) if groups else (0,):
+            dc = 1 - merged
+            dh = dc + 1 - (dv + db - dt) // 2
+            table[key | merged << 16] = InsertionDelta(dv, dc, dh, db, dt)
+    return table
+
+
+# The 401 deltas, shared since they are immutable.  Built at import and never
+# written after, so a key outside it can only come from a corrupt state.
+_TRANSITIONS: Dict[int, InsertionDelta] = _insertion_table()
 
 
 class TrackerStats(NamedTuple):
@@ -298,11 +287,14 @@ class Tracker:
     def add_pixel(self, pixel: Pixel) -> InsertionDelta:
         """Insert one pixel and return the resulting change vector.
 
-        Work is bounded by the pixel's four corners plus union-find cost.
-        Inserting a pixel that is already present raises DuplicatePixelError
-        and leaves the state untouched; so does a coordinate that is not an
-        integer or is a bool (TypeError), while numpy integers are stored as
-        ``int``.
+        Work is bounded by the pixel's four corners plus union-find cost; the
+        delta is one lookup in ``_TRANSITIONS``.  Inserting a pixel that is
+        already present raises DuplicatePixelError and leaves the state
+        untouched; so does a coordinate that is not an integer or is a bool
+        (TypeError), while numpy integers are stored as ``int``.  Corner
+        codes and a merge count that are no key of the table, which no
+        object reaches, raise TrackerCorruptionError naming the pixel, before
+        any counter or corner entry changes.
         """
         px, py = pixel
         if px.__class__ is bool or py.__class__ is bool:
@@ -338,9 +330,6 @@ class Tracker:
         v2 = p2[i2]
         v3 = p3[i3]
         v4 = p4[i4]
-        packed = (
-            _GAIN_LL[v1 & 15] + _GAIN_LR[v2 & 15] + _GAIN_UL[v3 & 15] + _GAIN_UR[v4 & 15]
-        )
 
         # Every 8-neighbor shares a corner with the new pixel, and all pixels
         # at one corner are already in one component, so one find per
@@ -378,6 +367,16 @@ class Tracker:
                     parent[q] = root
                     if rank[root] == rank[q]:
                         rank[root] += 1
+        # the key _insertion_table builds, as products and sums: CPython
+        # specialises those for ints, but not shifts and ors
+        key = (v1 & 15) + (v2 & 15) * 16 + (v3 & 15) * 256 + (v4 & 15) * 4096 + merged * 65536
+        try:
+            delta = _TRANSITIONS[key]
+        except KeyError:
+            raise TrackerCorruptionError(
+                f"corrupt state at {pixel}: corner codes"
+                f" {(v1 & 15, v2 & 15, v3 & 15, v4 & 15)} with {merged} merges"
+            ) from None
         if root < 0:
             root = len(parent)
             parent.append(root)
@@ -388,9 +387,6 @@ class Tracker:
         p3[i3] = v3 & 15 | tag | 2
         p4[i4] = v4 & 15 | tag | 1
 
-        delta = _TRANSITIONS.get(packed | merged << 24)
-        if delta is None:
-            delta = _transition(packed, merged, pixel)
         dv, dc, _, db, dt = delta
         self.p += 1
         self.v += dv

@@ -53,7 +53,7 @@ def subset_reports(width: int, height: int) -> Iterator[InvariantReport]:
 def replay(pixels: Iterable[Pixel], cases: Counter) -> Tracker:
     """A new Tracker with the pixels inserted in order.  Their cases are added
     to ``cases`` once the last pixel is in, so a raising insertion adds none;
-    a run repeats a few dozen distinct deltas, each classified once."""
+    a run repeats at most 31 distinct deltas, each classified once."""
     tracker = Tracker()
     for delta, count in Counter(map(tracker.add_pixel, pixels)).items():
         cases[incremental.classify_case(delta)] += count

@@ -1,4 +1,5 @@
-"""What a fresh interpreter loads: only scipy's compiled labeller, at the first labelling.
+"""What a fresh interpreter loads: only scipy's compiled labeller, at the first
+labelling, and the tracker's insertion table, whole, at import.
 
 Each test runs a child from the directory holding the imported package, so
 the child finds the same pixtopo whether it is installed or not.  They check
@@ -25,14 +26,17 @@ def _child(*args):
 
 
 def test_import_loads_no_scipy():
+    # the import also builds the tracker's whole insertion table, before any
+    # insertion, so no insertion ever fills it
     result = _child(
         "-X", "importtime", "-c",
-        "import pixtopo, pixtopo.cli; print('label' in vars(pixtopo.invariants.ndi))",
+        "import pixtopo, pixtopo.cli; print('label' in vars(pixtopo.invariants.ndi),"
+        " len(pixtopo.incremental._TRANSITIONS))",
     )
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
     assert "pixtopo.invariants" in imported
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
-    assert result.stdout == "False\n"
+    assert result.stdout == "False 401\n"
 
 
 _MAIN = """

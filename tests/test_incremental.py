@@ -18,9 +18,11 @@ from pixtopo import (
     classify_case,
     generate_random,
 )
+from pixtopo import incremental
 from pixtopo.incremental import COORD_BOUND, TrackerStats
 from pixtopo.grid import MAX_RASTER_CELLS
 from pixtopo.invariants import _BLOCK_MASK, _TUNNEL_MASKS, _census, rasterize
+from pixtopo.verify import subset_reports
 
 pixel_lists = st.lists(
     st.tuples(st.integers(-2, 7), st.integers(-2, 7)), unique=True, max_size=40
@@ -311,6 +313,22 @@ def test_corruption_is_detected():
         tr.snapshot()
 
 
+def test_corrupt_corner_codes_raise_at_insertion():
+    tr = Tracker([(-1, -1), (-1, 0), (0, -1)])
+    page = tr._pages[0, 0]
+    page[0] &= ~2  # lattice point (0, 0) forgets its SE pixel (0, -1)
+    page[8] &= ~1  # lattice point (0, 1) forgets its SW pixel (-1, 0)
+    counters = (tr.p, tr.v, tr.b, tr.t, tr.c)
+    entries = page_entries(tr)
+    # (0, -1) still shows at lattice point (1, 0) and (-1, 0) at (0, 0): no
+    # pattern of 8-neighbours gives these corner codes, though their dv, db
+    # and dt balance as case 1a, InsertionDelta(2, 0, 0, 0, 0)
+    with pytest.raises(TrackerCorruptionError, match=r"at \(0, 0\)"):
+        tr.add_pixel((0, 0))
+    assert (tr.p, tr.v, tr.b, tr.t, tr.c) == counters
+    assert page_entries(tr) == entries
+
+
 # --- the insertion case table ----------------------------------------------
 
 CASE_TABLE = [
@@ -362,6 +380,38 @@ def test_unknown_signature_is_unmatched():
     delta = InsertionDelta(dv=0, dc=-1, dh=-1, db=0, dt=-2)
     assert delta.balances()
     assert classify_case(delta) is CaseId.UNMATCHED
+
+
+def test_insertion_table_is_every_insertion_of_the_plane():
+    """The tracker's 401 (neighbour pattern, merge count) deltas are exactly
+    the deltas that insertions take, each one balanced and in a case."""
+    table = incremental._TRANSITIONS
+    assert len(table) == 401
+    deltas = set(table.values())
+    assert all(delta.balances() for delta in deltas)
+    assert {classify_case(delta) for delta in deltas} == set(CaseId) - {CaseId.UNMATCHED}
+    # report[S | {i}] - report[S] over every insertion of the 4x4 grid
+    counts = np.array([(r.v, r.c0, r.h, r.b, r.t_direct) for r in subset_reports(4, 4)])
+    masks = np.arange(1 << 16)
+    seen = set()
+    for i in range(16):
+        without = masks[(masks >> i & 1) == 0]
+        steps = np.unique(counts[without | 1 << i] - counts[without], axis=0)
+        seen.update(InsertionDelta(*step) for step in steps.tolist())
+    assert len(seen) == 30
+    # the one case 4x4 lacks: (2, 1) closes three holes at once, 5c
+    ring = [(1, 0), (3, 0), (0, 1), (4, 1), (1, 2), (3, 2), (2, 3)]
+    closes_three = deltas_of(ring, (2, 1))
+    assert closes_three == InsertionDelta(0, 0, 3, 0, 4)
+    assert deltas == seen | {closes_three}
+
+
+def test_insertions_never_write_the_insertion_table():
+    table = incremental._TRANSITIONS
+    pixels = list(generate_random(64, 48, 0.5, seed=21))
+    random.Random(21).shuffle(pixels)
+    assert len(Tracker(pixels)) == len(pixels) > 1000
+    assert incremental._TRANSITIONS is table and len(table) == 401
 
 
 def test_exhaustive_3x3_insertions_match_recompute_and_classify():
@@ -426,8 +476,9 @@ def test_forbidden_transitions_never_occur(pixels):
 @given(st.integers(1, 9), st.integers(1, 9), st.floats(0, 1), st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_corner_masks_are_the_census_codes(width, height, density, seed):
-    # the tracker's gain tables use the census's tunnel and block masks, which
-    # is only sound while both read a lattice point's four pixels in one layout
+    # the tracker's insertion table is built from the census's tunnel and
+    # block masks, which is only sound while both read a lattice point's four
+    # pixels in one layout
     obj = generate_random(width, height, density, seed)
     tr = Tracker(obj)
     corners = {point: value & 15 for point, value in page_entries(tr).items()}
@@ -539,9 +590,9 @@ def test_compact_tracker_object_builds_no_pixel_set():
 
 def test_as_object_of_far_apart_pixels_allocates_no_line_array():
     # two pixels 5 * 10**7 columns apart: the box is within the raster limit,
-    # but it holds far more than 64 cells per pixel, so the coordinate
-    # constructor sorts and squeezes the coordinates, and as_object must not
-    # mark the box's columns
+    # but it holds far more than 64 cells per pixel, so grid._raster sorts
+    # and squeezes the coordinates, and as_object allocates the squeezed 1x3
+    # raster, never a mask or line array as wide as the box
     tr = Tracker([(0, 0), (5 * 10**7, 0)])
     tracemalloc.start()
     try:

@@ -493,7 +493,7 @@ def test_each_census_code_balances_the_identity(code):
     e8_quarters = {1: 1, 3: -1}.get(n, 0) - 2 * diagonal
     # the point's share of t - v + 2p + 2 E8 - b, times 4
     assert 4 * t - 4 * v + 2 * n + 2 * e8_quarters - 4 * b == 0
-    # the tracker's gain tables read the same masks in the same layout
+    # the tracker's insertion table is built from the same masks in the same layout
     assert incremental._TUNNEL_MASKS is invariants._TUNNEL_MASKS
     assert incremental._BLOCK_MASK == invariants._BLOCK_MASK
     tracker = Tracker(pixels)
