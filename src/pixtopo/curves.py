@@ -77,10 +77,16 @@ def curve_report(obj: DigitalObject, alpha: Adjacency) -> CurveVerdict:
     Identity names record the equation; lhs/rhs are the evaluated sides.
     The checks are evaluated, never assumed, so any gap between the
     operational predicates and the identities is surfaced as a failed check.
-    One such gap is real: a 1-adjacency path that brushes itself diagonally
-    can seal a complement cell (h = 1), and then the arc identities, which
-    presume h = 0, do not hold even though the degree test passes.
+    Two such gaps are real, both under 1-adjacency and both at a diagonal
+    self-contact, which is a tunnel point: a path that brushes itself
+    diagonally can seal a complement cell (h = 1), and then the arc
+    identities, which presume h = 0, do not hold even though the degree test
+    passes; and a closed 1-curve that touches itself diagonally encloses two
+    4-holes (h = 2), and then the closed-curve identities, which presume
+    h = 1, do not hold.  The general-curve identity holds in both.
+    ``alpha`` may be 0 or 1; any other value raises ValueError.
     """
+    alpha = Adjacency(alpha)
     # looked up on its module, so wrappers installed there see the call
     mask = invariants.rasterize(obj)
     rep = _analyze_raster(len(obj), mask)

@@ -237,8 +237,10 @@ def generate_curve(kind: str, alpha: Adjacency, steps: int, seed: int) -> Digita
     ``steps`` scales the pixel count (exact for arcs, approximate for closed
     curves; the minimal closed shapes are the 4-pixel diamond under ZERO and
     the 8-pixel square ring under ONE).  Raises GenerationError when the
-    rejection budget runs out; retry with another seed.
+    rejection budget runs out; retry with another seed.  ``alpha`` may be
+    0 or 1; any other value raises ValueError.
     """
+    alpha = Adjacency(alpha)
     if not 1 <= steps <= MAX_CURVE_STEPS:
         raise ValueError(f"steps must be in 1..{MAX_CURVE_STEPS}")
     rng = SplitMix64(seed)

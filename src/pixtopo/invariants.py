@@ -59,28 +59,21 @@ class _LazyNdimage:
     Importing all of scipy.ndimage takes about 0.35 s and 26.5 MB, more than
     the rest of the package and more than a warm ``pixtopo analyze`` of a
     1000x1000 image; its labelling is one compiled extension,
-    ``scipy.ndimage._ni_label``, which loads in 15-30 ms.  So the first read
-    of ``label`` takes that extension from ``sys.modules``, or loads it alone
-    (``_load_ni_label``), and caches on the instance a ``label(image,
-    structure)`` that calls its ``_label`` directly: for pixtopo's inputs
-    (2-D bool images, 3x3 bool structures, far fewer than 2**31 cells) that
-    is all the work ``scipy.ndimage.label`` does.  Later reads are plain
-    attribute reads.  ``gen``, ``--help``, usage errors and Tracker-only use
-    never label and load nothing.  ``label`` is the only attribute.  ``ndi``
-    stays a module attribute, so a tracer or a test can still replace it.
+    ``scipy.ndimage._ni_label``, which loads in 15-30 ms.  So each call of
+    ``label(image, structure)`` looks that extension up in ``sys.modules``,
+    loading it alone (``_load_ni_label``) the first time, and calls its
+    ``_label`` directly: for pixtopo's inputs (2-D bool images, 3x3 bool
+    structures, far fewer than 2**31 cells) that is all the work
+    ``scipy.ndimage.label`` does.  ``gen``, ``--help``, usage errors and
+    Tracker-only use never label and load nothing.  ``label`` is the only
+    attribute.  ``ndi`` stays a module attribute, so a tracer or a test can
+    still replace it.
     """
 
-    def __getattr__(self, name):
-        if name != "label":
-            raise AttributeError(name)
+    def label(self, image, structure):
         core = (sys.modules.get(_NI_LABEL) or _load_ni_label())._label
-
-        def label(image, structure):
-            out = np.empty(image.shape, np.int32)
-            return out, core(image, structure, out)
-
-        self.label = label
-        return label
+        out = np.empty(image.shape, np.int32)
+        return out, core(image, structure, out)
 
 
 def _load_ni_label():
@@ -209,8 +202,12 @@ def count_tunnels_direct(obj: DigitalObject) -> int:
 
 
 def count_components(obj: DigitalObject, adjacency: Adjacency = Adjacency.ZERO) -> int:
-    """Number of maximal connected subsets under the given adjacency."""
-    return _count_labels(rasterize(obj), _STRUCT8 if adjacency is Adjacency.ZERO else _STRUCT4)
+    """Number of maximal connected subsets under the given adjacency.
+
+    ``adjacency`` may be 0 or 1; any other value raises ValueError.
+    """
+    zero = Adjacency(adjacency) is Adjacency.ZERO
+    return _count_labels(rasterize(obj), _STRUCT8 if zero else _STRUCT4)
 
 
 def count_holes(obj: DigitalObject) -> int:

@@ -1,5 +1,8 @@
 from collections import Counter
+from functools import lru_cache
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
@@ -7,6 +10,7 @@ from conftest import DIAMOND, DIAGONAL_PAIR, DOMINO, RING8, SQUARE2, stretched
 from pixtopo import (
     Adjacency,
     DigitalObject,
+    InvariantReport,
     analyze,
     curve_report,
     is_general_curve,
@@ -14,12 +18,21 @@ from pixtopo import (
     is_simple_closed_curve,
 )
 from pixtopo import invariants
+from pixtopo.verify import subset_reports
 
 STAIRCASE = [(0, 0), (1, 1), (2, 2)]
 # two square rings sharing exactly the pixel (2, 2)
 FIGURE_EIGHT = sorted(
     {(x, y) for x in range(3) for y in range(3) if x in (0, 2) or y in (0, 2)}
     | {(x, y) for x in range(2, 5) for y in range(2, 5) if x in (2, 4) or y in (2, 4)}
+)
+# a closed 1-curve touching itself diagonally at one tunnel point, so it
+# encloses two 4-holes; rows from the top
+TOUCHING_RING = DigitalObject(
+    (x, -y)
+    for y, row in enumerate([".###", "##.#", "#.##", "###."])
+    for x, cell in enumerate(row)
+    if cell == "#"
 )
 
 small_objects = st.builds(
@@ -201,26 +214,92 @@ def test_curve_classes_match_the_definitions_far_apart(pair, alpha):
 
 
 @given(small_objects, adjacencies)
+@example(TOUCHING_RING, Adjacency.ONE)
 @settings(max_examples=300)
 def test_identities_hold_up_to_the_known_arc_leak(o, alpha):
-    """Every identity holds, except the arc ones on 1-adjacency paths that
-    brush themselves diagonally and seal a complement cell (h > 0); the
-    verdict is designed to surface exactly that leak rather than hide it.
+    """Every identity holds, except on 1-curves that touch themselves
+    diagonally (t > 0) and so enclose a hole (h > 0): an arc that seals a
+    complement cell fails the arc identities, a closed curve that encloses
+    two holes the closed-curve one.  The verdict is designed to surface
+    exactly these leaks rather than hide them.
     """
     verdict = curve_report(o, alpha)
-    h = analyze(o).h
+    rep = analyze(o)
     for check in verdict.identity_checks:
         if not check.holds:
-            assert alpha is Adjacency.ONE and "arc" in check.name and h > 0
+            assert alpha is Adjacency.ONE and rep.h > 0 and rep.t_direct > 0
 
 
 @given(small_objects, adjacencies)
+@example(TOUCHING_RING, Adjacency.ONE)
 @settings(max_examples=300)
 def test_hole_counts_by_curve_class(o, alpha):
+    rep = analyze(o)
     if is_simple_closed_curve(o, alpha):
-        assert analyze(o).h == 1
+        if alpha is Adjacency.ZERO or rep.t_direct == 0:
+            assert rep.h == 1
+        else:
+            assert rep.h >= 2
     if is_simple_arc(o, alpha) and alpha is Adjacency.ZERO:
-        assert analyze(o).h == 0
+        assert rep.h == 0
+
+
+def test_closed_one_curve_touching_itself_encloses_two_holes():
+    rep = analyze(TOUCHING_RING)
+    assert rep == InvariantReport(p=12, v=23, c0=1, c1=1, h=2, b=0, t_direct=1,
+                                  t_formula=1, consistent=True)
+    assert is_simple_closed_curve(TOUCHING_RING, Adjacency.ONE)
+    names = {c.name: c for c in curve_report(TOUCHING_RING, Adjacency.ONE).identity_checks}
+    closed = names["simple closed curve: t = v - 2p"]
+    assert (closed.lhs, closed.rhs, closed.holds) == (1, -1, False)
+    assert names["general curve: t = v - 2(p + 1 - h)"].holds
+
+
+@lru_cache(maxsize=None)
+def _census_4x4():
+    """Every subset of the 4x4 grid, in ``subset_reports``' mask order: the
+    subsets' padded masks and their (p, v, c0, c1, h, b, t) columns."""
+    bits = np.arange(16)
+    masks = (np.arange(1 << 16)[:, None] >> bits & 1).astype(bool).reshape(-1, 4, 4)
+    padded = np.zeros((len(masks), 6, 6), dtype=bool)
+    padded[:, 1:-1, 1:-1] = masks
+    fields = ("p", "v", "c0", "c1", "h", "b", "t_direct")
+    reports = np.array([[getattr(r, f) for f in fields] for r in subset_reports(4, 4)])
+    return padded, dict(zip(fields, reports.T))
+
+
+@pytest.mark.parametrize("alpha, table", [
+    (Adjacency.ZERO, (20_002, 13, 736, 0, 0, 0)),
+    (Adjacency.ONE, (3_755, 15, 1_020, 0, 2, 144)),
+])
+def test_census_of_the_4x4_curves(alpha, table):
+    """Every subset of the 4x4 grid classified by ``curve_report``'s rules,
+    with degrees from shifted sums: general curves, closed curves, arcs,
+    and how many of each fail their identity."""
+    padded, r = _census_4x4()
+    inner = padded[:, 1:-1, 1:-1]
+    m = padded.view(np.uint8)
+    degree = sum(m[:, 1 + dy : 5 + dy, 1 + dx : 5 + dx] for dx, dy in alpha.offsets)
+    ones = np.count_nonzero(inner & (degree == 1), axis=(1, 2))
+    twos = np.count_nonzero(inner & (degree == 2), axis=(1, 2))
+    p, v, h, t = r["p"], r["v"], r["h"], r["t_direct"]
+    general = (r["b"] == 0) & (r["c0" if alpha is Adjacency.ZERO else "c1"] == 1)
+    closed = general & (p >= 4) & (twos == p)
+    arc = general & ((p == 1) | ((ones == 2) & (twos == p - 2)))
+    general_fails = general & (t != v - 2 * (p + 1 - h))
+    closed_fails = closed & (t != v - 2 * p)
+    arc_fails = arc & (t != v - 2 * (p + 1))
+    classes = (general, closed, arc, general_fails, closed_fails, arc_fails)
+    assert tuple(int(np.count_nonzero(c)) for c in classes) == table
+    if alpha is Adjacency.ONE:
+        # a simple 1-curve fails a check exactly when it has a tunnel
+        assert np.array_equal(closed_fails | arc_fails, (closed | arc) & (t > 0))
+    fails = general_fails | closed_fails | arc_fails
+    rng = np.random.default_rng(22)
+    for i in rng.choice(np.flatnonzero(general), 200, replace=False):
+        verdict = curve_report(DigitalObject.from_mask(padded[i]), alpha)
+        assert (verdict.is_simple_closed, verdict.is_simple_arc, verdict.is_general_curve,
+                verdict.all_identities_hold) == (closed[i], arc[i], True, not fails[i])
 
 
 def test_hook_arc_surfaces_the_identity_leak():

@@ -290,6 +290,18 @@ def test_stats_of_two_components():
     assert Tracker().stats() == TrackerStats(pages=0, corners=0, components=0, max_depth=0)
 
 
+def test_rank_bounds_every_find_path():
+    # finds compress nothing, so union by rank alone must keep each path
+    # within log2 of the ids allocated: raster order is where linking
+    # without rank builds the deepest paths, a shuffle allocates the most ids
+    raster = list(generate_random(400, 400, 0.5, seed=1))
+    shuffled = raster[:]
+    random.Random(1).shuffle(shuffled)
+    for pixels in (raster, shuffled):
+        stats = Tracker(pixels).stats()
+        assert stats.max_depth <= stats.components.bit_length()
+
+
 @pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
 def test_shuffled_random_grid_matches_analyze(density):
     obj = generate_random(64, 48, density, seed=7)

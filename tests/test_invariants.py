@@ -17,9 +17,13 @@ from pixtopo import (
     count_tunnels_direct,
     count_vertices,
     curve_report,
+    generate_curve,
     generate_random,
     has_separating_tunnels,
+    is_general_curve,
     is_k_separating,
+    is_simple_arc,
+    is_simple_closed_curve,
     is_tunnel_free,
     tunnels_by_formula,
 )
@@ -140,6 +144,28 @@ def test_is_k_separating():
 def test_is_k_separating_requires_subset():
     with pytest.raises(ValueError):
         is_k_separating(obj([(9, 9)]), obj(SQUARE3), Adjacency.ZERO)
+
+
+# shapes on which the two adjacencies give different answers
+_SHAPES = [obj(DIAMOND), obj(RING8), obj(DOMINO), obj(DIAGONAL_PAIR)]
+_ELBOW = obj([(0, 0), (1, 0), (1, 1)])  # without (1, 0), a diagonal pair
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: [count_components(o, a) for o in _SHAPES],
+    lambda a: is_k_separating(obj([(1, 0)]), _ELBOW, a),
+    lambda a: [curve_report(o, a) for o in _SHAPES],
+    lambda a: [is_general_curve(o, a) for o in _SHAPES],
+    lambda a: [is_simple_closed_curve(o, a) for o in _SHAPES],
+    lambda a: [is_simple_arc(o, a) for o in _SHAPES],
+    lambda a: [generate_curve(kind, a, 12, 3) for kind in ("closed", "arc")],
+], ids=["count_components", "is_k_separating", "curve_report", "is_general_curve",
+        "is_simple_closed_curve", "is_simple_arc", "generate_curve"])
+def test_a_plain_int_adjacency_means_its_member(call):
+    for alpha in Adjacency:
+        assert call(int(alpha)) == call(alpha)
+    with pytest.raises(ValueError):
+        call(2)
 
 
 def test_has_separating_tunnels():
