@@ -23,6 +23,7 @@ update itself.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from enum import Enum
 from itertools import chain
@@ -134,9 +135,14 @@ COORD_BOUND = 1 << 33
 
 # The tracker keeps its lattice points in pages of 8x8: point (x, y) is entry
 # (y & 7) * 8 + (x & 7) of the page keyed (x >> 3, y >> 3).  A fresh page
-# holds 64 empty lattice points; an entry holds the point's occupancy mask in
-# bits 0..3 and its component's union-find id from bit 4.
-_BLANK_PAGE = array("q", bytes(8 * 64))
+# holds 64 empty lattice points; an entry, an unsigned 32-bit int, holds the
+# point's occupancy mask in bits 0..3 and its component's union-find id from
+# bit 4, so ids stay below _ID_LIMIT.
+_BLANK_PAGE = array("I", bytes(4 * 64))
+_ID_LIMIT = 1 << 28
+
+# The byte of an entry that holds its occupancy mask, in the pages' native order.
+_MASK_BYTE = 0 if sys.byteorder == "little" else 3
 
 
 def _slot(pages: Dict[Tuple[int, int], array], x: int, y: int) -> Tuple[array, int]:
@@ -197,14 +203,18 @@ class TrackerStats(NamedTuple):
 class Tracker:
     """Grows a digital object pixel by pixel, keeping all counters current.
 
-    The lattice points live in 8x8 pages of int64 entries, each holding the
-    point's corner occupancy mask and the union-find id of the component
-    its pixels belong to: a few dozen bytes per pixel on a dense object,
-    about a kilobyte on widely scattered pixels, which take a page or more
+    The lattice points live in 8x8 pages of unsigned 32-bit entries, each
+    holding the point's corner occupancy mask and the union-find id of the
+    component its pixels belong to: about 21 bytes per pixel on a dense
+    object, about 700 on widely scattered pixels, which take a page or more
     each.  The union-find runs over components, not pixels: an insertion
     touching no occupied corner allocates an id, and every other insertion
     writes the root it found into its four corners.  Union by rank, with no
     path compression, bounds every find path by log2 of the ids allocated.
+    An entry leaves 28 bits for the id, so a tracker allocates at most 2**28
+    ids; the isolated insertion that would need one more raises
+    OverflowError.  Reaching it takes 2**28 isolated insertions, whose
+    union-find lists alone would hold over 10 GB.
 
     Single-writer: do not mutate one tracker from several threads.  Snapshots
     are immutable and freely shareable.  Deletion is unsupported by design;
@@ -242,22 +252,32 @@ class Tracker:
 
         A pixel sets bit 8 at its lower-left corner, so the entries of all
         pages, laid end to end, hold a pixel at each flat index f with bit 8
-        set: on page f >> 6, row f >> 3 & 7 and column f & 7.  The pages'
-        (column, row) keys are read in the same order into one int64 array.
-        The decoded x and y arrays go to ``DigitalObject._from_coords``; no
-        pixel tuple is built.  Raises ValueError, as ``DigitalObject(pixels)``
-        does, when the squeezed box exceeds ``MAX_RASTER_CELLS``; the tracker
-        is kept.
+        set: on page f >> 6, row f >> 3 & 7 and column f & 7.  Bit 8 is read
+        from the low byte of each entry, so the pages are joined into one
+        buffer of 4 bytes per entry and the only other transient per entry
+        is one byte; the buffer is dropped before the coordinates are built.
+        The pages' (column, row) keys are read in the same order into one
+        int64 array.  The decoded x and y arrays go to
+        ``DigitalObject._from_coords``; no pixel tuple is built.  Raises
+        ValueError, as ``DigitalObject(pixels)`` does, when the squeezed box
+        exceeds ``MAX_RASTER_CELLS``; the tracker is kept.
         """
         pages = self._pages
         keys = np.fromiter(chain.from_iterable(pages), np.int64, 2 * len(pages))
         cols, rows = keys.reshape(-1, 2).T
-        entries = np.frombuffer(b"".join(pages.values()), dtype=np.int64)
-        flat = np.flatnonzero(entries & 8)
+        joined = np.frombuffer(b"".join(pages.values()), dtype=np.uint8)
+        flat = np.flatnonzero(joined[_MASK_BYTE::4] & 8)
+        del joined
         page = flat >> 6
-        return DigitalObject._from_coords(
-            cols[page] * 8 + (flat & 7), rows[page] * 8 + (flat >> 3 & 7)
-        )
+        xs = cols[page]
+        ys = rows[page]
+        del page
+        xs <<= 3
+        ys <<= 3
+        ys |= flat >> 3 & 7
+        flat &= 7
+        xs |= flat
+        return DigitalObject._from_coords(xs, ys)
 
     def stats(self) -> TrackerStats:
         """Page, corner and union-find figures, computed now from the state.
@@ -266,7 +286,7 @@ class Tracker:
         for it; asking costs one pass over the pages and the union-find.
         """
         pages = self._pages
-        entries = np.frombuffer(b"".join(pages.values()), dtype=np.int64)
+        entries = np.frombuffer(b"".join(pages.values()), dtype=np.uint32)
         parent = np.array(self._parent, dtype=np.int64)
         # move every id still below a root up one link per round; the
         # rounds in which some id moved count the deepest path
@@ -295,7 +315,9 @@ class Tracker:
         (TypeError), while numpy integers are stored as ``int``.  Corner
         codes and a merge count that are no key of the table, which no
         object reaches, raise TrackerCorruptionError naming the pixel, before
-        any counter or corner entry changes.
+        any counter or corner entry changes.  An isolated insertion that
+        would allocate id 2**28 raises OverflowError the same way, before any
+        counter, corner entry or union-find list changes.
         """
         px, py = pixel
         if px.__class__ is bool or py.__class__ is bool:
@@ -376,6 +398,11 @@ class Tracker:
             ) from None
         if root < 0:
             root = len(parent)
+            if root >= _ID_LIMIT:
+                raise OverflowError(
+                    f"pixel {pixel} needs a new component id, but the tracker"
+                    f" holds its limit of {_ID_LIMIT} ids"
+                )
             parent.append(root)
             rank.append(0)
         tag = root << 4

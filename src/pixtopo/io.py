@@ -35,11 +35,13 @@ class ParseError(ValueError):
 def parse_ascii_grid(text: str) -> DigitalObject:
     """Parse an ASCII grid; lines may differ in length, missing cells are background.
 
-    Any character outside '#1' / '.0 ' raises ParseError naming the 1-based
+    Rows end at a line feed or a carriage return and line feed.  Any other
+    character outside '#1' / '.0 ', a lone carriage return or another break
+    ``str.splitlines`` knows included, raises ParseError naming the 1-based
     line and column.
     """
     pixels = []
-    for row, line in enumerate(text.splitlines()):
+    for row, line in enumerate(text.replace("\r\n", "\n").split("\n")):
         for col, ch in enumerate(line):
             if ch in PIXEL_CHARS:
                 pixels.append((col, row))

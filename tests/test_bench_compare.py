@@ -113,12 +113,47 @@ def test_only_paired_untraced_runs_count(tmp_path, capsys):
     assert "image: 1 pairs, seeds 1\n" in out
 
 
+def test_json_holds_what_is_printed(tmp_path, capsys):
+    for seed in range(1, 5):
+        _write(tmp_path / "parent", "grow", seed, peak_rss_mb=48.0 + seed / 10)
+        _write(tmp_path / "change", "grow", seed, peak_rss_mb=45.0 + seed / 10,
+               correct=seed != 3, failed=seed == 4)
+    _write(tmp_path / "change", "image", 1)
+    out = tmp_path / "compare.json"
+    status = bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                                 "--json", str(out)])
+    printed = capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert status == data["status"] == 1
+    assert data["unpaired"] == [{"workload": "image", "seed": 1, "side": "change"}]
+    grow = data["workloads"]["grow"]
+    assert grow["seeds"] == [1, 2, 3, 4]
+    assert grow["parent"] == {"attempted": 40, "failed": 0, "not_correct": []}
+    assert grow["change"] == {"attempted": 40, "failed": 1, "not_correct": [3]}
+    peak = grow["metrics"]["peak_rss_mb"]
+    assert peak["parent"]["median"] == pytest.approx(48.25)
+    assert peak["change"]["median"] == pytest.approx(45.25)
+    assert peak["parent"]["q1"] < peak["parent"]["median"] < peak["parent"]["q3"]
+    assert peak["ratio"] == pytest.approx(45.25 / 48.25)
+    assert (peak["wins"], peak["pairs"], peak["bound"]) == (4, 4, 0.05)
+    assert len(peak["by_pair"]) == 4
+    assert list(grow["metrics"]) == list(_BASE)
+    assert {name: (f"{row['wins']}/{row['pairs']}", row["verdict"])
+            for name, row in grow["metrics"].items()} == _rows(printed)
+    assert data["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert data["cpu_count"] >= 1
+    assert {"revision", "numpy", "scipy"} <= data.keys()
+
+
 def test_no_pairs_and_bad_arguments_are_usage_errors(tmp_path):
     _write(tmp_path / "parent", "image", 1)
     _write(tmp_path / "change", "grow", 1)
     assert bench_compare.compare(tmp_path / "parent", tmp_path / "change") == 2
     assert bench_compare.main([str(tmp_path / "parent")]) == 2
     assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "missing")]) == 2
+    assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "--out", str(tmp_path / "x.json")]) == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_the_script_imports_no_pixtopo(tmp_path):
@@ -126,11 +161,13 @@ def test_the_script_imports_no_pixtopo(tmp_path):
         _write(tmp_path / side, "image", 1)
     result = subprocess.run(
         [sys.executable, "-X", "importtime", str(_TOOL), str(tmp_path / "parent"),
-         str(tmp_path / "change")],
+         str(tmp_path / "change"), "--json", str(tmp_path / "compare.json")],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("image: 1 pairs")
+    assert json.loads((tmp_path / "compare.json").read_text())["numpy"]
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
     assert "json" in imported
-    assert not [name for name in imported if name.startswith("pixtopo")]
+    assert not [name for name in imported
+                if name.split(".")[0] in ("pixtopo", "numpy", "scipy")]

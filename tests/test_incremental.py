@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -261,9 +262,16 @@ def test_rejected_page_edge_pixel_leaves_the_tracker_unchanged(pixel):
     assert tr.snapshot() == Tracker([(0, 0), (0, 1), (1, 0), (1, 1)]).snapshot()
 
 
-def test_grown_tracker_holds_under_100_bytes_per_pixel():
+def grown_pixels():
+    """About 20k pixels of a 200x200 grid at density 0.5, shuffled."""
     pixels = list(generate_random(200, 200, 0.5, seed=1))
     random.Random(1).shuffle(pixels)
+    return pixels
+
+
+def test_grown_tracker_holds_under_25_bytes_per_pixel():
+    # 32-bit page entries hold about 21 bytes per pixel, 64-bit ones about 30
+    pixels = grown_pixels()
     tracemalloc.start()
     try:
         tr = Tracker(pixels)
@@ -271,7 +279,64 @@ def test_grown_tracker_holds_under_100_bytes_per_pixel():
     finally:
         tracemalloc.stop()
     assert len(tr) == len(pixels)
-    assert size / len(pixels) < 100
+    assert size / len(pixels) < 25
+
+
+def test_as_object_of_a_grown_tracker_peaks_under_55_bytes_per_pixel():
+    # the object and every transient of as_object: about 43 bytes per pixel,
+    # against 68 when the joined pages were widened to int64
+    pixels = grown_pixels()
+    tr = Tracker(pixels)
+    tracemalloc.start()
+    try:
+        obj = tr.as_object()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obj == DigitalObject(pixels)
+    assert peak / len(pixels) < 55
+
+
+def test_ids_past_16_bits_decode_whole():
+    # 262 x 262 isolated pixels at even coordinates allocate an id each
+    side = 262
+    pixels = [(2 * i, 2 * j) for j in range(side) for i in range(side)]
+    tr = Tracker(pixels)
+    assert tr.stats().components == len(pixels) > 65_536
+    assert tr.as_object() == DigitalObject(pixels)
+    rng = random.Random(5)
+    for x, y in rng.sample(pixels, 200):
+        assert (x, y) in tr and (x + 1, y) not in tr and (x, y + 1) not in tr
+    # the pixel between the last four joins four ids above 65,535 into one
+    joiner = (2 * side - 3, 2 * side - 3)
+    entries = page_entries(tr)
+    corners = [(joiner[0] + dx, joiner[1] + dy) for dx in (0, 1) for dy in (0, 1)]
+    assert min(entries[corner] >> 4 for corner in corners) > 65_535
+    assert tr.add_pixel(joiner).dc == -3
+    # an id read modulo 2**16 would take the joined ids for those of pixels
+    # 65,536 insertions earlier, unite those, and count the merges of the
+    # pixel that joins them short
+    x, y = pixels[pixels.index((joiner[0] - 1, joiner[1] - 1)) - 65_536]
+    second = (x + 1, y + 1)
+    assert tr.add_pixel(second).dc == -3
+    expected = analyze(DigitalObject(pixels + [joiner, second]))
+    assert tr.snapshot() == dataclasses.replace(expected, c1=None)
+
+
+def test_isolated_insertion_past_the_id_limit_raises(monkeypatch):
+    monkeypatch.setattr(incremental, "_ID_LIMIT", 3)
+    tr = Tracker([(0, 0), (2, 0), (4, 0)])
+
+    def state():
+        return (tr.p, tr.v, tr.b, tr.t, tr.c), page_entries(tr), tr._parent[:], tr._rank[:]
+
+    before = state()
+    with pytest.raises(OverflowError, match=r"\(6, 0\) .* limit of 3 ids"):
+        tr.add_pixel((6, 0))
+    assert state() == before
+    # a pixel that touches a component needs no id, and still goes in
+    tr.add_pixel((1, 1))
+    assert tr.snapshot() == Tracker([(0, 0), (2, 0), (4, 0), (1, 1)]).snapshot()
 
 
 def test_stats_of_the_3x3_block():

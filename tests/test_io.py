@@ -70,6 +70,16 @@ def test_parse_error_position():
         parse_ascii_grid("#.\n.#\nx.")
 
 
+@pytest.mark.parametrize("brk", ["\x0c", "\x1c", "\x85", "\u2028", "\r", "\x0b"])
+def test_only_line_feeds_break_rows(brk):
+    # str.splitlines breaks at each of these; the grid's alphabet has none
+    with pytest.raises(ParseError, match="line 1, column 2"):
+        parse_ascii_grid(f"#{brk}#")
+    with pytest.raises(ParseError, match="line 2, column 1"):
+        parse_ascii_grid(f"#\r\n{brk}#")
+    assert parse_ascii_grid("#.\r\n.#\r\n").pixels == {(0, 0), (1, 1)}
+
+
 def test_parse_empty_text():
     assert len(parse_ascii_grid("")) == 0
 

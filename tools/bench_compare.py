@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two sets of benchmark results against the bounds of BENCHMARK.json.
 
-    python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR
+    python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR [--json OUT]
 
 Each directory holds copies of ``bench/out/result-<workload>-seed<N>-trace0.json``,
 as ``bench/run.py --trace 0`` writes them; a run of the parent and a run of
@@ -21,15 +21,23 @@ verdict, then the ratio of each pair in seed order.  The verdicts:
 It also prints the operations attempted and failed on each side and every
 run whose output was not correct.  Exit status: 0, or 1 when some metric is
 worse than its bound or some run was not correct, or 2 on a usage error.
-It reads the files and ``BENCHMARK.json`` and writes nothing.
+It reads the files and ``BENCHMARK.json``, and writes nothing unless given
+``--json OUT``: then it also writes what it prints to OUT as one JSON
+document, with the exit status, the git revision of the checkout holding
+this tool, the Python, numpy and scipy versions and the CPU count.  It
+imports neither numpy nor scipy, nor anything outside the standard library.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import re
 import statistics
+import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -65,55 +73,129 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "within bound"
 
 
-def compare(parent_dir: Path, change_dir: Path) -> int:
-    """Print the comparison of the paired runs; the exit status ``main`` returns."""
+def summarize(parent: dict, change: dict) -> dict:
+    """The comparison of the paired runs of two ``load_runs`` results, as data.
+
+    {"status", "unpaired": [{workload, seed, side}], "workloads": {workload:
+    {"seeds", "metrics": {metric: {"parent" and "change": {q1, median, q3},
+    "ratio", "wins", "pairs", "bound", "verdict", "by_pair"}}, "parent" and
+    "change": {attempted, failed, not_correct: [seed]}}}}; "status" is the
+    exit status ``compare`` returns.
+    """
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
-    parent, change = load_runs(parent_dir), load_runs(change_dir)
     pairs = sorted(parent.keys() & change.keys())
-    if not pairs:
-        print(f"bench_compare: no paired result files in {parent_dir} and {change_dir}",
-              file=sys.stderr)
-        return 2
-    status = 0
-    for key in sorted(parent.keys() ^ change.keys()):
-        side = "parent" if key in parent else "change"
-        print(f"unpaired: {key[0]} seed {key[1]} only in {side}, ignored")
+    summary = {
+        "status": 0,
+        "unpaired": [
+            {"workload": w, "seed": s, "side": "parent" if (w, s) in parent else "change"}
+            for w, s in sorted(parent.keys() ^ change.keys())
+        ],
+        "workloads": {},
+    }
     for workload in sorted({w for w, _ in pairs}):
         keys = [k for k in pairs if k[0] == workload]
-        print(f"{workload}: {len(keys)} pairs, seeds {', '.join(str(s) for _, s in keys)}")
-        print(f"  {'metric':<12} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34}"
-              f" {'ratio':>6} {'wins':>6} {'bound':>6}  verdict")
+        rows = {}
         for metric in metrics:
             name, better, bound = metric["name"], metric["better"], metric["bound"]
             before = [parent[k]["metrics"][name]["value"] for k in keys]
             after = [change[k]["metrics"][name]["value"] for k in keys]
-            wins = sum(a < b if better == "lower" else a > b for a, b in zip(after, before))
             said = verdict(before, after, better, bound)
             if said == "worse than bound":
-                status = 1
+                summary["status"] = 1
             (p1, pm, p3), (c1, cm, c3) = quartiles(before), quartiles(after)
-            print(f"  {name:<12} {f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':<34}"
-                  f" {f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':<34} {cm / pm:>6.3f}"
-                  f" {f'{wins}/{len(keys)}':>6} {bound:>6.2f}  {said}")
-            print("    change/parent by pair: "
-                  + " ".join(f"{a / b:.3f}" for a, b in zip(after, before)))
+            rows[name] = {
+                "parent": {"q1": p1, "median": pm, "q3": p3},
+                "change": {"q1": c1, "median": cm, "q3": c3},
+                "ratio": cm / pm,
+                "wins": sum(a < b if better == "lower" else a > b
+                            for a, b in zip(after, before)),
+                "pairs": len(keys),
+                "bound": bound,
+                "verdict": said,
+                "by_pair": [a / b for a, b in zip(after, before)],
+            }
+        sides = {}
         for side, runs in (("parent", parent), ("change", change)):
-            attempted = sum(runs[k]["attempted"] for k in keys)
-            failed = sum(runs[k]["failed"] for k in keys)
-            print(f"  {side}: attempted {attempted}, failed {failed}")
-            for k in keys:
-                if not runs[k]["correct"]:
-                    status = 1
-                    print(f"  {side}: seed {k[1]} not correct")
-    return status
+            not_correct = [k[1] for k in keys if not runs[k]["correct"]]
+            if not_correct:
+                summary["status"] = 1
+            sides[side] = {
+                "attempted": sum(runs[k]["attempted"] for k in keys),
+                "failed": sum(runs[k]["failed"] for k in keys),
+                "not_correct": not_correct,
+            }
+        summary["workloads"][workload] = {"seeds": [s for _, s in keys], "metrics": rows, **sides}
+    return summary
+
+
+def print_summary(summary: dict) -> None:
+    """Print a ``summarize`` result as the table the module docstring describes."""
+    for run in summary["unpaired"]:
+        print(f"unpaired: {run['workload']} seed {run['seed']} only in {run['side']}, ignored")
+    for workload, result in summary["workloads"].items():
+        seeds = result["seeds"]
+        print(f"{workload}: {len(seeds)} pairs, seeds {', '.join(str(s) for s in seeds)}")
+        print(f"  {'metric':<12} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34}"
+              f" {'ratio':>6} {'wins':>6} {'bound':>6}  verdict")
+        for name, row in result["metrics"].items():
+            before, after = ("{median:.4g} [{q1:.4g}, {q3:.4g}]".format(**row[side])
+                             for side in ("parent", "change"))
+            wins = f"{row['wins']}/{row['pairs']}"
+            print(f"  {name:<12} {before:<34} {after:<34} {row['ratio']:>6.3f} {wins:>6}"
+                  f" {row['bound']:>6.2f}  {row['verdict']}")
+            print("    change/parent by pair: " + " ".join(f"{r:.3f}" for r in row["by_pair"]))
+        for side in ("parent", "change"):
+            print(f"  {side}: attempted {result[side]['attempted']},"
+                  f" failed {result[side]['failed']}")
+            for seed in result[side]["not_correct"]:
+                print(f"  {side}: seed {seed} not correct")
+
+
+def environment() -> dict:
+    """The git revision of this tool's checkout, the Python, numpy and scipy
+    versions and the CPU count; a version that cannot be read is None."""
+    try:
+        revision = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=BENCHMARK.parent, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        revision = None
+    versions = {}
+    for package in ("numpy", "scipy"):
+        try:
+            versions[package] = metadata.version(package)
+        except metadata.PackageNotFoundError:
+            versions[package] = None
+    return {"revision": revision, "python": platform.python_version(), **versions,
+            "cpu_count": os.cpu_count()}
+
+
+def compare(parent_dir: Path, change_dir: Path, json_out: Path | None = None) -> int:
+    """Print the comparison of the paired runs, and write it to ``json_out``
+    when given; the exit status ``main`` returns."""
+    parent, change = load_runs(parent_dir), load_runs(change_dir)
+    if not parent.keys() & change.keys():
+        print(f"bench_compare: no paired result files in {parent_dir} and {change_dir}",
+              file=sys.stderr)
+        return 2
+    summary = summarize(parent, change)
+    print_summary(summary)
+    if json_out is not None:
+        json_out.write_text(json.dumps({**environment(), **summary}, indent=1) + "\n")
+    return summary["status"]
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    json_out = None
+    if len(args) == 4 and args[2] == "--json":
+        json_out = Path(args.pop())
+        args.pop()
     if len(args) != 2 or not all(Path(a).is_dir() for a in args):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    return compare(Path(args[0]), Path(args[1]))
+    return compare(Path(args[0]), Path(args[1]), json_out)
 
 
 if __name__ == "__main__":
