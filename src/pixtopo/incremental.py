@@ -132,6 +132,9 @@ def classify_case(delta: InsertionDelta) -> CaseId:
 # lattice point (x, y), a corner of some pixel, has |x|, |y| <= COORD_BOUND,
 # and ``as_object`` decodes every page key and pixel within int64.
 COORD_BOUND = 1 << 33
+# Its negation, made once: written in add_pixel, it would build a new int
+# on every insertion.
+_LOW_BOUND = -COORD_BOUND
 
 # The tracker keeps its lattice points in pages of 8x8: point (x, y) is entry
 # (y & 7) * 8 + (x & 7) of the page keyed (x >> 3, y >> 3).  A fresh page
@@ -143,15 +146,6 @@ _ID_LIMIT = 1 << 28
 
 # The byte of an entry that holds its occupancy mask, in the pages' native order.
 _MASK_BYTE = 0 if sys.byteorder == "little" else 3
-
-
-def _slot(pages: Dict[Tuple[int, int], array], x: int, y: int) -> Tuple[array, int]:
-    """The page holding lattice point (x, y), made blank if absent, and its index."""
-    key = (x >> 3, y >> 3)
-    page = pages.get(key)
-    if page is None:
-        page = pages[key] = _BLANK_PAGE[:]
-    return page, (y & 7) << 3 | (x & 7)
 
 
 def _insertion_table() -> Dict[int, InsertionDelta]:
@@ -312,24 +306,32 @@ class Tracker:
         delta is one lookup in ``_TRANSITIONS``.  Inserting a pixel that is
         already present raises DuplicatePixelError and leaves the state
         untouched; so does a coordinate that is not an integer or is a bool
-        (TypeError), while numpy integers are stored as ``int``.  Corner
-        codes and a merge count that are no key of the table, which no
-        object reaches, raise TrackerCorruptionError naming the pixel, before
-        any counter or corner entry changes.  An isolated insertion that
-        would allocate id 2**28 raises OverflowError the same way, before any
-        counter, corner entry or union-find list changes.
+        (TypeError), or lies outside the coordinate bound (ValueError).
+        Plain ``int`` coordinates go straight to the bound check; numpy and
+        other integers are converted by ``operator.index`` and stored as
+        ``int``.  Corner codes and a merge count that are no key of the
+        table, which no object reaches, raise TrackerCorruptionError naming
+        the pixel, before any counter or corner entry changes.  An isolated
+        insertion that would allocate id 2**28 raises OverflowError the same
+        way, before any counter, corner entry or union-find list changes.
+        Either refusal drops the blank pages the insertion made, so
+        ``stats().pages`` reads as before it.
         """
         px, py = pixel
-        if px.__class__ is bool or py.__class__ is bool:
-            raise TypeError(f"pixel coordinates must be integers, not bool: {pixel}")
-        px = index(px)
-        py = index(py)
-        if abs(px) >= COORD_BOUND or abs(py) >= COORD_BOUND:
+        if px.__class__ is not int or py.__class__ is not int:
+            if px.__class__ is bool or py.__class__ is bool:
+                raise TypeError(f"pixel coordinates must be integers, not bool: {pixel}")
+            px = index(px)
+            py = index(py)
+        if not (_LOW_BOUND < px < COORD_BOUND and _LOW_BOUND < py < COORD_BOUND):
             raise ValueError(f"pixel {pixel} outside the tracker coordinate bound")
         # Entries of the four corners around the pixel; bit 8/4/2/1 is the
         # slot this pixel occupies at its lower-left/right/upper-left/right
         # corner.  Off its page's last row and column, all four sit in the
-        # lower-left corner's page, one entry and one row of 8 apart.
+        # lower-left corner's page, one entry and one row of 8 apart.  The
+        # page-edge cases, about a quarter of the insertions on a random
+        # object, look up the other pages inline, as a helper call per
+        # corner cost more than the lookup it made.
         pages = self._pages
         lx = px & 7
         ly = py & 7
@@ -341,15 +343,53 @@ class Tracker:
         v1 = p1[i1]
         if v1 & 8:
             raise DuplicatePixelError(f"pixel {pixel} already present")
-        if lx != 7 and ly != 7:
-            p2 = p3 = p4 = p1
-            i2 = i1 + 1
+        if lx != 7:
+            if ly != 7:
+                p2 = p3 = p4 = p1
+                i2 = i1 + 1
+                i3 = i1 + 8
+                i4 = i1 + 9
+            else:
+                # last row: the upper corners fall in row 0 of the page above
+                key = (px >> 3, py + 1 >> 3)
+                p3 = pages.get(key)
+                if p3 is None:
+                    p3 = pages[key] = _BLANK_PAGE[:]
+                p2 = p1
+                p4 = p3
+                i2 = i1 + 1
+                i3 = lx
+                i4 = lx + 1
+        elif ly != 7:
+            # last column: the right-hand corners fall in column 0 of the
+            # page to the right
+            key = (px + 1 >> 3, py >> 3)
+            p2 = pages.get(key)
+            if p2 is None:
+                p2 = pages[key] = _BLANK_PAGE[:]
+            p3 = p1
+            p4 = p2
+            i2 = i1 - 7
             i3 = i1 + 8
-            i4 = i1 + 9
+            i4 = i1 + 1
         else:
-            p2, i2 = _slot(pages, px + 1, py)
-            p3, i3 = _slot(pages, px, py + 1)
-            p4, i4 = _slot(pages, px + 1, py + 1)
+            # the page's last point: the other three corners fall on the
+            # pages to the right, above, and above and to the right
+            key = (px + 1 >> 3, py >> 3)
+            p2 = pages.get(key)
+            if p2 is None:
+                p2 = pages[key] = _BLANK_PAGE[:]
+            key = (px >> 3, py + 1 >> 3)
+            p3 = pages.get(key)
+            if p3 is None:
+                p3 = pages[key] = _BLANK_PAGE[:]
+            key = (px + 1 >> 3, py + 1 >> 3)
+            p4 = pages.get(key)
+            if p4 is None:
+                p4 = pages[key] = _BLANK_PAGE[:]
+            i2 = 56
+            i3 = 7
+            i4 = 0
         v2 = p2[i2]
         v3 = p3[i3]
         v4 = p4[i4]
@@ -392,6 +432,7 @@ class Tracker:
         try:
             delta = _TRANSITIONS[key]
         except KeyError:
+            self._drop_blank_pages(px, py)
             raise TrackerCorruptionError(
                 f"corrupt state at {pixel}: corner codes"
                 f" {(v1 & 15, v2 & 15, v3 & 15, v4 & 15)} with {merged} merges"
@@ -399,6 +440,7 @@ class Tracker:
         if root < 0:
             root = len(parent)
             if root >= _ID_LIMIT:
+                self._drop_blank_pages(px, py)
                 raise OverflowError(
                     f"pixel {pixel} needs a new component id, but the tracker"
                     f" holds its limit of {_ID_LIMIT} ids"
@@ -418,6 +460,18 @@ class Tracker:
         self.t += dt
         self.c += dc
         return delta
+
+    def _drop_blank_pages(self, px: int, py: int) -> None:
+        """Drop the pages of pixel (px, py)'s corners that hold no entry, as
+        a refused insertion leaves the ones it made; a missing page reads
+        as blank, so no answer changes."""
+        pages = self._pages
+        for key in (
+            (px >> 3, py >> 3), (px + 1 >> 3, py >> 3),
+            (px >> 3, py + 1 >> 3), (px + 1 >> 3, py + 1 >> 3),
+        ):
+            if pages.get(key) == _BLANK_PAGE:
+                del pages[key]
 
     def derived_holes(self) -> int:
         """Hole count from the counter identity, without any flood fill."""

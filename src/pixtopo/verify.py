@@ -6,7 +6,10 @@ analyzed in stacks of ``SUBSET_CHUNK`` masks by ``invariants.analyze_batch``:
 one census and three labellings per stack instead of per subset.  It is the
 only enumeration of subsets.  ``replay`` fills a new Tracker and counts
 its deltas; ``random_sweep`` replays each seeded random object, shuffled,
-and analyzes the objects in stacks by the same batch engine.
+and analyzes the objects in stacks by the same batch engine.  It splits
+each object's shuffled cell indices into columns and rows with one numpy
+``divmod`` and feeds them as pairs of plain ints, which ``add_pixel``
+takes without converting them.
 
 Analysis, generation and case classification are looked up on their modules
 at call time, so wrappers installed on those module attributes see every call.
@@ -86,11 +89,13 @@ def random_sweep(
             masks.append(mask)
             # cell i is pixel (i % width, i // width): the flat indices are
             # in the (y, x) order of iterating the object, and take one small
-            # int each where a pixel tuple would take three objects
+            # int each where a pixel tuple would take three objects; one
+            # divmod splits the shuffled cells, and the plain ints of its
+            # lists take add_pixel's shortest path
             cells = np.flatnonzero(mask).tolist()
             rng.shuffle(cells)
-            pixels = ((cell % width, cell // width) for cell in cells)
-            snapshots.append(replay(pixels, cases).snapshot())
+            rows, cols = np.divmod(cells, width)
+            snapshots.append(replay(zip(cols.tolist(), rows.tolist()), cases).snapshot())
         yield from zip(invariants.analyze_batch(np.stack(masks)), snapshots)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,11 @@ def page_entries(tracker):
             if value:
                 entries[8 * col + i % 8, 8 * row + i // 8] = value
     return entries
+
+
+def entry(tracker, x, y):
+    """The page and index of lattice point (x, y) in a tracker."""
+    return tracker._pages[x >> 3, y >> 3], (y & 7) << 3 | (x & 7)
 
 
 def test_new_tracker_is_empty():
@@ -328,12 +334,16 @@ def test_isolated_insertion_past_the_id_limit_raises(monkeypatch):
     tr = Tracker([(0, 0), (2, 0), (4, 0)])
 
     def state():
-        return (tr.p, tr.v, tr.b, tr.t, tr.c), page_entries(tr), tr._parent[:], tr._rank[:]
+        return ((tr.p, tr.v, tr.b, tr.t, tr.c), page_entries(tr), tr._parent[:], tr._rank[:],
+                tr.stats())
 
     before = state()
-    with pytest.raises(OverflowError, match=r"\(6, 0\) .* limit of 3 ids"):
-        tr.add_pixel((6, 0))
-    assert state() == before
+    # (6, 0) sits on the one page there is; the corners of (15, 15) fall on
+    # four absent pages, and those of (100, 100) on one
+    for pixel in [(6, 0), (15, 15), (100, 100)]:
+        with pytest.raises(OverflowError, match=re.escape(f"{pixel}") + " .* limit of 3 ids"):
+            tr.add_pixel(pixel)
+        assert state() == before
     # a pixel that touches a component needs no id, and still goes in
     tr.add_pixel((1, 1))
     assert tr.snapshot() == Tracker([(0, 0), (2, 0), (4, 0), (1, 1)]).snapshot()
@@ -391,19 +401,27 @@ def test_corruption_is_detected():
 
 
 def test_corrupt_corner_codes_raise_at_insertion():
-    tr = Tracker([(-1, -1), (-1, 0), (0, -1)])
-    page = tr._pages[0, 0]
-    page[0] &= ~2  # lattice point (0, 0) forgets its SE pixel (0, -1)
-    page[8] &= ~1  # lattice point (0, 1) forgets its SW pixel (-1, 0)
-    counters = (tr.p, tr.v, tr.b, tr.t, tr.c)
-    entries = page_entries(tr)
-    # (0, -1) still shows at lattice point (1, 0) and (-1, 0) at (0, 0): no
-    # pattern of 8-neighbours gives these corner codes, though their dv, db
-    # and dt balance as case 1a, InsertionDelta(2, 0, 0, 0, 0)
-    with pytest.raises(TrackerCorruptionError, match=r"at \(0, 0\)"):
-        tr.add_pixel((0, 0))
-    assert (tr.p, tr.v, tr.b, tr.t, tr.c) == counters
-    assert page_entries(tr) == entries
+    # (7, 7) is its page's last point: the corner (8, 8) falls on a page no
+    # other pixel reaches
+    for pixel in [(0, 0), (7, 7)]:
+        x, y = pixel
+        tr = Tracker([(x - 1, y - 1), (x - 1, y), (x, y - 1)])
+        page, i = entry(tr, x, y)
+        page[i] &= ~2  # lattice point (x, y) forgets its SE pixel (x, y - 1)
+        page, i = entry(tr, x, y + 1)
+        page[i] &= ~1  # lattice point (x, y + 1) forgets its SW pixel (x - 1, y)
+        counters = (tr.p, tr.v, tr.b, tr.t, tr.c)
+        entries = page_entries(tr)
+        stats = tr.stats()
+        # (x, y - 1) still shows at lattice point (x + 1, y) and (x - 1, y)
+        # at (x, y): no pattern of 8-neighbours gives these corner codes,
+        # though their dv, db and dt balance as case 1a,
+        # InsertionDelta(2, 0, 0, 0, 0)
+        with pytest.raises(TrackerCorruptionError, match=re.escape(f"at {pixel}")):
+            tr.add_pixel(pixel)
+        assert (tr.p, tr.v, tr.b, tr.t, tr.c) == counters
+        assert page_entries(tr) == entries
+        assert tr.stats() == stats
 
 
 # --- the insertion case table ----------------------------------------------

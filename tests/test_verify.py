@@ -5,7 +5,7 @@ import pytest
 
 from pixtopo import (
     CaseId, DigitalObject, DuplicatePixelError, SplitMix64, Tracker, analyze, generate_random,
-    incremental,
+    incremental, verify,
 )
 from pixtopo.generate import _SHUFFLE_BLOCK
 from pixtopo.verify import (
@@ -95,6 +95,33 @@ def test_random_sweep_stacks_match_the_inline_loop():
         inserted += len(pixels)
     assert swept == expected
     assert sum(cases.values()) == inserted
+
+
+@pytest.mark.parametrize("width, height", [(7, 5), (5, 7)])
+def test_random_sweep_feeds_each_cell_as_its_pixel(monkeypatch, width, height):
+    # a transposed feed gives the same snapshots and cases, so the pixels
+    # replay receives are compared too
+    fed = []
+
+    def recording(pixels, cases):
+        fed.append(list(pixels))
+        return replay(fed[-1], cases)
+
+    monkeypatch.setattr(verify, "replay", recording)
+    cases = Counter()
+    snapshots = [snap for _, snap in random_sweep(width, height, 0.5, 9, 6, cases)]
+    # the same draws, fed by the per-cell generator the sweep used before
+    rng, expected_cases, expected_fed, expected = SplitMix64(9), Counter(), [], []
+    for _ in range(6):
+        obj = generate_random(width, height, 0.5, seed=rng.next_u64())
+        cells = sorted(x + y * width for x, y in obj)
+        rng.shuffle(cells)
+        expected_fed.append(list((cell % width, cell // width) for cell in cells))
+        expected.append(replay(expected_fed[-1], expected_cases).snapshot())
+    assert fed == expected_fed
+    assert {c.__class__ for pixels in fed for pixel in pixels for c in pixel} == {int}
+    assert snapshots == expected
+    assert cases == expected_cases
 
 
 def test_agrees_compares_the_tracked_counters():

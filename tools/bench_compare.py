@@ -151,24 +151,29 @@ def print_summary(summary: dict) -> None:
                 print(f"  {side}: seed {seed} not correct")
 
 
+def revision(tree: Path) -> str | None:
+    """``git describe --always --dirty`` of the checkout holding ``tree``, or
+    None when git cannot tell."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=tree, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def environment() -> dict:
     """The git revision of this tool's checkout, the Python, numpy and scipy
     versions and the CPU count; a version that cannot be read is None."""
-    try:
-        revision = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=BENCHMARK.parent, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        revision = None
     versions = {}
     for package in ("numpy", "scipy"):
         try:
             versions[package] = metadata.version(package)
         except metadata.PackageNotFoundError:
             versions[package] = None
-    return {"revision": revision, "python": platform.python_version(), **versions,
-            "cpu_count": os.cpu_count()}
+    return {"revision": revision(BENCHMARK.parent), "python": platform.python_version(),
+            **versions, "cpu_count": os.cpu_count()}
 
 
 def compare(parent_dir: Path, change_dir: Path, json_out: Path | None = None) -> int:
