@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import defaultdict
 from enum import Enum
 from itertools import chain
-from operator import index
 from typing import Dict, Iterable, NamedTuple, Tuple
 
 import numpy as np
 
-from .grid import DigitalObject, Pixel, _member
+from .grid import DigitalObject, Pixel, _member, _pixel
 from .invariants import _BLOCK_MASK, _TUNNEL_MASKS, InvariantReport, tunnels_by_formula
 
 
@@ -199,7 +199,8 @@ class Tracker:
 
     The lattice points live in 8x8 pages of unsigned 32-bit entries, each
     holding the point's corner occupancy mask and the union-find id of the
-    component its pixels belong to: about 21 bytes per pixel on a dense
+    component its pixels belong to.  An insertion makes a page blank on first
+    touch; reads make none.  Pages take about 21 bytes per pixel on a dense
     object, about 700 on widely scattered pixels, which take a page or more
     each.  The union-find runs over components, not pixels: an insertion
     touching no occupied corner allocates an id, and every other insertion
@@ -219,7 +220,7 @@ class Tracker:
     __slots__ = ("_pages", "_parent", "_rank", "p", "v", "b", "t", "c")
 
     def __init__(self, pixels: Iterable[Pixel] = ()):
-        self._pages: Dict[Tuple[int, int], array] = {}
+        self._pages: Dict[Tuple[int, int], array] = defaultdict(_BLANK_PAGE.__copy__)
         self._parent: list = []
         self._rank: list = []
         self.p = 0
@@ -307,11 +308,13 @@ class Tracker:
         already present raises DuplicatePixelError and leaves the state
         untouched; so does a coordinate that is not an integer or is a bool
         (TypeError), or lies outside the coordinate bound (ValueError).
-        Plain ``int`` coordinates go straight to the bound check; numpy and
-        other integers are converted by ``operator.index`` and stored as
-        ``int``.  Corner codes and a merge count that are no key of the
-        table, which no object reaches, raise TrackerCorruptionError naming
-        the pixel, before any counter or corner entry changes.  An isolated
+        Plain ``int`` coordinates go straight to the bound check; others
+        take ``grid._pixel``, the rule ``DigitalObject`` applies, so numpy
+        integers are stored as ``int``.  Corner codes and a merge count that
+        are no key of the table, which no object reaches, raise
+        TrackerCorruptionError naming the pixel, before any counter or
+        corner entry changes, though the union-find may have linked the
+        roots it found: the tracker was corrupt before the call.  An isolated
         insertion that would allocate id 2**28 raises OverflowError the same
         way, before any counter, corner entry or union-find list changes.
         Either refusal drops the blank pages the insertion made, so
@@ -319,10 +322,7 @@ class Tracker:
         """
         px, py = pixel
         if px.__class__ is not int or py.__class__ is not int:
-            if px.__class__ is bool or py.__class__ is bool:
-                raise TypeError(f"pixel coordinates must be integers, not bool: {pixel}")
-            px = index(px)
-            py = index(py)
+            px, py = _pixel(px, py)
         if not (_LOW_BOUND < px < COORD_BOUND and _LOW_BOUND < py < COORD_BOUND):
             raise ValueError(f"pixel {pixel} outside the tracker coordinate bound")
         # Entries of the four corners around the pixel; bit 8/4/2/1 is the
@@ -330,15 +330,12 @@ class Tracker:
         # corner.  Off its page's last row and column, all four sit in the
         # lower-left corner's page, one entry and one row of 8 apart.  The
         # page-edge cases, about a quarter of the insertions on a random
-        # object, look up the other pages inline, as a helper call per
-        # corner cost more than the lookup it made.
+        # object, subscript the other pages inline (a helper call per corner
+        # cost more than the lookup); an absent page is made blank in C.
         pages = self._pages
         lx = px & 7
         ly = py & 7
-        key = (px >> 3, py >> 3)
-        p1 = pages.get(key)
-        if p1 is None:
-            p1 = pages[key] = _BLANK_PAGE[:]
+        p1 = pages[px >> 3, py >> 3]
         i1 = ly << 3 | lx
         v1 = p1[i1]
         if v1 & 8:
@@ -351,42 +348,25 @@ class Tracker:
                 i4 = i1 + 9
             else:
                 # last row: the upper corners fall in row 0 of the page above
-                key = (px >> 3, py + 1 >> 3)
-                p3 = pages.get(key)
-                if p3 is None:
-                    p3 = pages[key] = _BLANK_PAGE[:]
                 p2 = p1
-                p4 = p3
+                p3 = p4 = pages[px >> 3, py + 1 >> 3]
                 i2 = i1 + 1
                 i3 = lx
                 i4 = lx + 1
         elif ly != 7:
             # last column: the right-hand corners fall in column 0 of the
             # page to the right
-            key = (px + 1 >> 3, py >> 3)
-            p2 = pages.get(key)
-            if p2 is None:
-                p2 = pages[key] = _BLANK_PAGE[:]
+            p2 = p4 = pages[px + 1 >> 3, py >> 3]
             p3 = p1
-            p4 = p2
             i2 = i1 - 7
             i3 = i1 + 8
             i4 = i1 + 1
         else:
             # the page's last point: the other three corners fall on the
             # pages to the right, above, and above and to the right
-            key = (px + 1 >> 3, py >> 3)
-            p2 = pages.get(key)
-            if p2 is None:
-                p2 = pages[key] = _BLANK_PAGE[:]
-            key = (px >> 3, py + 1 >> 3)
-            p3 = pages.get(key)
-            if p3 is None:
-                p3 = pages[key] = _BLANK_PAGE[:]
-            key = (px + 1 >> 3, py + 1 >> 3)
-            p4 = pages.get(key)
-            if p4 is None:
-                p4 = pages[key] = _BLANK_PAGE[:]
+            p2 = pages[px + 1 >> 3, py >> 3]
+            p3 = pages[px >> 3, py + 1 >> 3]
+            p4 = pages[px + 1 >> 3, py + 1 >> 3]
             i2 = 56
             i3 = 7
             i4 = 0

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import DIAMOND, RING8
@@ -57,8 +57,11 @@ def page_entries(tracker):
 
 
 def entry(tracker, x, y):
-    """The page and index of lattice point (x, y) in a tracker."""
-    return tracker._pages[x >> 3, y >> 3], (y & 7) << 3 | (x & 7)
+    """The page and index of lattice point (x, y) in a tracker, whose page
+    must exist: a subscript of an absent page would make one."""
+    page = tracker._pages.get((x >> 3, y >> 3))
+    assert page is not None
+    return page, (y & 7) << 3 | (x & 7)
 
 
 def test_new_tracker_is_empty():
@@ -215,7 +218,16 @@ def page_edge_lists(draw):
     return [(x + dx, y + dy) for x, y in pixels]
 
 
+# A pixel on a page's last row, last column or last point, with the
+# neighbours whose shared corners lie on the other pages and on its own:
+# each page-edge branch of add_pixel reads and writes all of them, whatever
+# the draw.
 @given(page_edge_lists(), st.randoms(use_true_random=False))
+@example([(3, 7), (2, 8), (4, 8), (4, 6)], random.Random(1))  # last row: NW, NE; SE
+@example([(7, 3), (8, 2), (8, 4), (6, 4)], random.Random(1))  # last column: SE, NE; NW
+@example([(7, 7), (8, 8)], random.Random(1))  # last point: NE
+@example([(7, 7), (8, 7), (7, 8)], random.Random(1))  # last point: E, N
+@example([(-1, -1), (0, 0), (0, -2), (-2, 0)], random.Random(1))  # last point: NE, SE, NW
 @settings(max_examples=200, deadline=None)
 def test_blobs_across_page_edges_match_the_oracles(pixels, rnd):
     rnd.shuffle(pixels)
@@ -257,7 +269,7 @@ def test_rejected_page_edge_pixel_leaves_the_tracker_unchanged(pixel):
     with pytest.raises(TypeError):
         tr.add_pixel((x + 0.5, y))
     assert state() == before
-    with pytest.raises(TypeError, match="bool"):
+    with pytest.raises(TypeError, match=re.escape(f"must be integers, not bool: ({x}, True)")):
         tr.add_pixel((x, True))
     assert state() == before
     with pytest.raises(ValueError):
@@ -349,6 +361,24 @@ def test_isolated_insertion_past_the_id_limit_raises(monkeypatch):
     assert tr.snapshot() == Tracker([(0, 0), (2, 0), (4, 0), (1, 1)]).snapshot()
 
 
+def test_reads_make_no_page():
+    # only an insertion makes a page: membership on an absent pixel, on a
+    # page the tracker lacks or beyond the coordinate bound, and every
+    # other read, leave the pages as they are
+    tr = Tracker([(0, 0), (7, 7), (20, 3)])
+    pages = tr.stats().pages
+    assert pages == len(tr._pages) == 5
+    reads = [
+        lambda: (1, 1) in tr, lambda: (100, 100) in tr, lambda: (-9, -9) in tr,
+        lambda: (COORD_BOUND, 0) in tr, lambda: (0, -COORD_BOUND - 8) in tr,
+        lambda: (10**30, 10**30) in tr,
+        tr.as_object, tr.stats, tr.snapshot,
+    ]
+    for read in reads:
+        read()
+        assert tr.stats().pages == len(tr._pages) == pages
+
+
 def test_stats_of_the_3x3_block():
     tr = Tracker((x, y) for y in range(3) for x in range(3))
     assert tr.stats() == TrackerStats(pages=1, corners=16, components=1, max_depth=0)
@@ -422,6 +452,22 @@ def test_corrupt_corner_codes_raise_at_insertion():
         assert (tr.p, tr.v, tr.b, tr.t, tr.c) == counters
         assert page_entries(tr) == entries
         assert tr.stats() == stats
+    # lattice point (0, 0) forgets its SW pixel (-1, -1) but keeps that
+    # pixel's id, so (0, 0) finds two roots, (-1, -1)'s and (1, -1)'s, and
+    # the union-find may link them before the refusal: only the counters,
+    # the corner entries and the pages are promised
+    tr = Tracker([(50, 50), (-1, -1), (1, -1)])
+    page, i = entry(tr, 0, 0)
+    page[i] &= ~1
+    counters = (tr.p, tr.v, tr.b, tr.t, tr.c)
+    entries = page_entries(tr)
+    pages = tr.stats().pages
+    with pytest.raises(TrackerCorruptionError,
+                       match=re.escape("at (0, 0): corner codes (0, 2, 0, 0) with 2 merges")):
+        tr.add_pixel((0, 0))
+    assert (tr.p, tr.v, tr.b, tr.t, tr.c) == counters
+    assert page_entries(tr) == entries
+    assert tr.stats().pages == pages
 
 
 # --- the insertion case table ----------------------------------------------
